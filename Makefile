@@ -1,14 +1,14 @@
 # Developer checks. `make check` is the full gate: static vetting, a
-# clean build, the whole suite under the race detector, and a short fuzz
+# clean build, the whole suite under the race detector, a short fuzz
 # smoke of every fuzz target (seed corpora under testdata/fuzz always run
-# as plain tests).
+# as plain tests), and the vet and tests of the nested benchmark module.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz bench telemetry profile loadsmoke
+.PHONY: check build vet test race fuzz bench telemetry profile loadsmoke perfcheck
 
-check: vet build telemetry race fuzz loadsmoke
+check: vet build telemetry race fuzz loadsmoke perfcheck
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,13 @@ microbench:
 	$(GO) test -bench . -benchmem ./internal/pattern/
 	$(GO) test -bench E10TelemetryOverhead -benchmem .
 	$(GO) test -run TestE13AllocationRegression -count=1 ./internal/bench/
+
+# perfcheck vets and tests the benchmark module under axmlperf/. It is
+# a nested module (its own go.mod, importing the engine through a
+# replace directive), so the root `go test ./...` skips it; without this
+# target an engine API change could break the benchmark build unnoticed.
+perfcheck:
+	cd axmlperf && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # telemetry gates the observability layer on its own: vet plus the
 # race-detected tests of the tracer/metrics package and the two packages

@@ -5,6 +5,8 @@ package axml_test
 import (
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -163,6 +165,60 @@ func TestFacadeDocumentConstruction(t *testing.T) {
 	g := axml.BuildFGuide(doc)
 	if g.Calls() != 1 {
 		t.Fatalf("guide calls = %d", g.Calls())
+	}
+}
+
+// TestFacadeRepository opens a directory holding one plain .axml file
+// through the facade: the first read is cold, a lazily materialised
+// document stored back opens warm and answers without further calls.
+func TestFacadeRepository(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "hotels.axml"), []byte(hotelsDoc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rp, err := axml.OpenRepo(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, err := rp.List(); err != nil || len(names) != 1 || names[0] != "hotels" {
+		t.Fatalf("List = %v, %v", names, err)
+	}
+	o, err := rp.Get("hotels")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Warm {
+		t.Fatal("plain file opened warm before any index existed")
+	}
+	q, err := axml.ParseQuery(`/hotels/hotel/nearby/restaurant[rating="*****"][name=$X] -> $X`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invocations := 0
+	reg := axml.NewRegistry()
+	reg.Register(restosService(&invocations))
+	first, err := axml.Evaluate(o.Doc, q, reg, axml.Options{Strategy: axml.LazyNFQ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.Put("hotels", o.Doc, axml.PutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := rp.Get("hotels")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Warm {
+		t.Fatal("stored document did not open warm")
+	}
+	before := invocations
+	second, err := axml.Evaluate(again.Doc, q, reg, axml.Options{Strategy: axml.LazyNFQ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if invocations != before || len(second.Results) != len(first.Results) || len(first.Results) == 0 {
+		t.Fatalf("stored document re-invoked %d calls; results %d vs %d",
+			invocations-before, len(second.Results), len(first.Results))
 	}
 }
 

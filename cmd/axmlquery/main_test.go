@@ -211,11 +211,10 @@ func TestPerfFlags(t *testing.T) {
 		}
 		return out.String()
 	}
-	want := results("-no-cache", "-no-incremental")
+	want := results("-no-cache")
 	for _, extra := range [][]string{
 		{},
 		{"-workers", "4"},
-		{"-no-incremental"},
 		{"-layer", "-workers", "8"},
 		{"-cache-ttl", "1m"},
 	} {

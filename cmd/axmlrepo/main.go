@@ -252,7 +252,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					return fail(err)
 				}
 				if man == nil {
-					fmt.Fprintf(stdout, "%s: no index (flat-store entry)\n", name)
+					fmt.Fprintf(stdout, "%s: no index (plain document file)\n", name)
 					continue
 				}
 				fmt.Fprintf(stdout, "%s: format %d, %d nodes, %d calls, %d paths",

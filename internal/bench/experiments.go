@@ -11,6 +11,7 @@ import (
 	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/soap"
+	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/workload"
 )
 
@@ -562,22 +563,25 @@ func E11(s Scale) (Table, error) {
 		var baseWall time.Duration
 		var baseSig string
 		for i, workers := range s.E11Workers {
-			widest := 0
 			opt := core.Options{
 				Strategy: core.LazyNFQTyped, Schema: w.Schema,
 				Push: true, Layering: true, Parallel: true,
 				InvokeWorkers: workers,
-				Trace: func(ev core.TraceEvent) {
-					if ev.Kind == core.TraceInvoke && ev.Calls > widest {
-						widest = ev.Calls
-					}
-				},
 			}
 			opt.Clock = service.NewWallClock(false)
 			opt.Metrics, opt.Tracer = s.Metrics, s.Tracer
+			if opt.Tracer == nil {
+				opt.Tracer = telemetry.NewTracer(0)
+			}
+			before := opt.Tracer.Len()
 			start := time.Now()
 			out, err := core.Evaluate(w.Doc.Clone(), w.Query, reg, opt)
 			wall := time.Since(start)
+			if err != nil {
+				srv.Close()
+				return t, err
+			}
+			widest, err := widestBatch(opt.Tracer, before)
 			if err != nil {
 				srv.Close()
 				return t, err
@@ -605,4 +609,31 @@ func E11(s Scale) (Table, error) {
 	t.Notes = append(t.Notes,
 		"identical result sets at every pool width (responses applied in document order)")
 	return t, nil
+}
+
+// widestBatch returns the largest invocation batch among the spans tr
+// recorded since its Len was before: a batch is the invoke spans
+// sharing one parent and round. It errors when the ring has already
+// dropped some of those spans.
+func widestBatch(tr *telemetry.Tracer, before int) (int, error) {
+	n := tr.Len() - before
+	spans := tr.Spans(n)
+	if len(spans) < n {
+		return 0, fmt.Errorf("E11: span ring dropped %d spans; widest batch unknown", n-len(spans))
+	}
+	type batch struct {
+		parent telemetry.SpanID
+		round  string
+	}
+	sizes := map[batch]int{}
+	widest := 0
+	for _, sp := range spans {
+		if sp.Name != "invoke" {
+			continue
+		}
+		k := batch{sp.Parent, sp.Attr("round")}
+		sizes[k]++
+		widest = max(widest, sizes[k])
+	}
+	return widest, nil
 }

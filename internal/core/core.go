@@ -184,12 +184,6 @@ type Options struct {
 	// Clock receives the simulated latency charges; nil means a fresh
 	// SimClock, whose total is reported in Stats.VirtualTime.
 	Clock service.Clock
-	// Trace, when set, receives one event per layer start, relevance
-	// detection round and invocation — the engine's explain output.
-	// Handlers run synchronously and must not re-enter the engine.
-	// Events are emitted deterministically, ordered by (Layer, Round,
-	// Shard), including under a parallel detection pool.
-	Trace TraceFunc
 	// Tracer, when set, receives hierarchical telemetry spans —
 	// evaluate → analysis/layer → detect/invoke — with wall-clock and
 	// virtual-clock durations, shard identity and per-phase attributes

@@ -182,11 +182,8 @@ type engine struct {
 	// userProj is the user query's own projection, applied to the final
 	// result evaluation; nil when the engine does not project.
 	userProj *schema.Projection
-	// traceLayer is the current layer index, stamped onto trace events.
-	traceLayer int
 	// round is the sequential detection/invocation round counter,
-	// stamped onto trace events and telemetry spans (1-based within an
-	// evaluation).
+	// stamped onto telemetry spans (1-based within an evaluation).
 	round int
 	// met holds the pre-resolved telemetry instruments (all nil when
 	// metrics are off).
@@ -305,8 +302,6 @@ func (e *engine) runLazy() error {
 	done := map[int]bool{}
 	for li, layer := range layers {
 		members := layer.SortedMembers()
-		e.traceLayer = li
-		e.emit(TraceEvent{Kind: TraceLayer, Calls: len(members)})
 		e.spanLayer = e.opt.Tracer.Start("layer", e.spanEval.ID())
 		e.spanLayer.SetInt("layer", int64(li))
 		e.spanLayer.SetInt("members", int64(len(members)))
@@ -779,8 +774,8 @@ func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator, pro
 }
 
 // relevantCalls is the sequential entry point around detect: it charges
-// detection time, merges the counters, emits the trace event and the
-// telemetry span. shard is the member's slot in the current layer.
+// detection time, merges the counters and emits the telemetry span.
+// shard is the member's slot in the current layer.
 func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
 	t0 := time.Now()
 	calls, d := e.detect(nfq, e.incremental(nfq), e.projection(nfq))
@@ -790,7 +785,6 @@ func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
 	if d.queried {
 		e.met.detectSecs.Observe(elapsed)
 		e.emitDetectSpan(nfq, shard, t0, elapsed, len(calls))
-		e.emit(TraceEvent{Kind: TraceDetect, Target: traceTarget(nfq), Shard: shard, Calls: len(calls)})
 	}
 	return calls
 }
@@ -817,9 +811,9 @@ func (e *engine) emitDetectSpan(nfq *rewrite.NFQ, shard int, start time.Time, wa
 // detectMany evaluates the members' relevance queries for the current
 // round, sharded over a bounded worker pool when Options.Workers allows
 // (each member query owns its evaluator shard, so workers share only the
-// read-only document). Stats deltas are merged and trace events emitted
-// by the coordinator, in member order, after the pool drains — the
-// parallel rounds stay race-clean and deterministic. Detection time is
+// read-only document). Stats deltas are merged and spans emitted by the
+// coordinator, in member order, after the pool drains — the parallel
+// rounds stay race-clean and deterministic. Detection time is
 // charged as wall time: the pool's speedup is the observable quantity.
 func (e *engine) detectMany(members []int, queries []*rewrite.NFQ) [][]*tree.Node {
 	calls := make([][]*tree.Node, len(members))
@@ -841,8 +835,8 @@ func (e *engine) detectMany(members []int, queries []*rewrite.NFQ) [][]*tree.Nod
 	}
 	// Each shard measures its own wall time in the worker (every worker
 	// writes only its own slots); the coordinator merges counters and
-	// emits events and spans after the pool drains, so the stream comes
-	// out ordered by (layer, round, shard) no matter how the workers
+	// emits spans after the pool drains, so the stream comes out
+	// ordered by (layer, round, shard) no matter how the workers
 	// interleaved.
 	starts := make([]time.Time, len(members))
 	walls := make([]time.Duration, len(members))
@@ -879,7 +873,6 @@ func (e *engine) detectMany(members []int, queries []*rewrite.NFQ) [][]*tree.Nod
 		if d.queried {
 			e.met.detectSecs.Observe(walls[i])
 			e.emitDetectSpan(queries[members[i]], i, starts[i], walls[i], len(calls[i]))
-			e.emit(TraceEvent{Kind: TraceDetect, Target: traceTarget(queries[members[i]]), Shard: i, Calls: len(calls[i])})
 		}
 	}
 	return calls
@@ -1011,10 +1004,6 @@ func (e *engine) chargeMeta(meta callMeta) {
 // evaluation (FailFast) or record the failure and park the call
 // (BestEffort).
 func (e *engine) giveUp(call *tree.Node, path string, meta callMeta) error {
-	e.emit(TraceEvent{
-		Kind: TraceGiveUp, Service: call.Label, Path: path,
-		Attempts: meta.attempts, Err: meta.err.Error(),
-	})
 	if e.opt.Failure == FailFast {
 		return meta.err
 	}
@@ -1140,14 +1129,7 @@ func (e *engine) invokeOne(call *tree.Node, nfq *rewrite.NFQ) error {
 	if meta.err != nil {
 		return e.giveUp(call, path, meta)
 	}
-	if meta.attempts > 1 {
-		e.emit(TraceEvent{Kind: TraceRetry, Service: call.Label, Path: path, Attempts: meta.attempts})
-	}
 	e.apply(call, resp, wasPushed)
-	e.emit(TraceEvent{
-		Kind: TraceInvoke, Target: traceTarget(nfq), Service: call.Label,
-		Path: path, Calls: 1, Pushed: wasPushed,
-	})
 	return nil
 }
 
@@ -1279,14 +1261,7 @@ func (e *engine) invokeMixedBatch(calls []*tree.Node, nfqs []*rewrite.NFQ) error
 			}
 			continue
 		}
-		if r.meta.attempts > 1 {
-			e.emit(TraceEvent{Kind: TraceRetry, Service: c.Label, Path: paths[i], Attempts: r.meta.attempts})
-		}
 		e.apply(c, r.resp, r.pushed)
-		e.emit(TraceEvent{
-			Kind: TraceInvoke, Target: traceTarget(nfqs[i]), Service: c.Label,
-			Path: paths[i], Calls: len(calls), Pushed: r.pushed, Parallel: true,
-		})
 	}
 	e.opt.Clock.Advance(maxCost)
 	e.stats.Rounds++

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -39,18 +40,13 @@ func TestConcurrentBatchEvaluations(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var mu sync.Mutex
-			var events int
+			tr := telemetry.NewTracer(0)
 			out, err := Evaluate(w.Doc.Clone(), w.Query, flaky, Options{
 				Strategy: LazyNFQ, Layering: true, Speculative: true,
 				Clock:   sharedClock,
 				Retry:   RetryPolicy{MaxAttempts: 25, Backoff: time.Millisecond, Jitter: 0.5, Seed: int64(g)},
 				Failure: BestEffort,
-				Trace: func(TraceEvent) {
-					mu.Lock()
-					events++
-					mu.Unlock()
-				},
+				Tracer:  tr,
 			})
 			switch {
 			case err != nil:
@@ -59,8 +55,8 @@ func TestConcurrentBatchEvaluations(t *testing.T) {
 				errs[g] = fmt.Errorf("gave up on %d calls", len(out.Failures))
 			case resultKeys(out) != want:
 				errs[g] = fmt.Errorf("results disagree with fault-free baseline")
-			case events == 0:
-				errs[g] = fmt.Errorf("trace sink saw no events")
+			case tr.Len() == 0:
+				errs[g] = fmt.Errorf("tracer saw no spans")
 			}
 		}(g)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -218,50 +219,52 @@ func TestRetryAndGiveUpTraces(t *testing.T) {
 		return itemForest(), nil
 	})
 	flaky := service.NewFaults(service.FaultSpec{Seed: 1, FailFirst: 1}).Wrap(reg)
-	var retries, giveups int
+	tr := telemetry.NewTracer(0)
 	out, err := Evaluate(doc, q, flaky, Options{
-		Strategy: LazyNFQ, Retry: RetryPolicy{MaxAttempts: 2},
-		Trace: func(ev TraceEvent) {
-			switch ev.Kind {
-			case TraceRetry:
-				retries++
-				if ev.Attempts != 2 || ev.Service != "getItems" {
-					t.Errorf("retry event = %+v", ev)
-				}
-				if !strings.Contains(ev.String(), "succeeded on attempt 2") {
-					t.Errorf("retry event renders as %q", ev)
-				}
-			case TraceGiveUp:
-				giveups++
-			}
-		},
+		Strategy: LazyNFQ, Retry: RetryPolicy{MaxAttempts: 2}, Tracer: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if retries != 1 || giveups != 0 || len(out.Results) != 1 {
-		t.Fatalf("retries=%d giveups=%d results=%d", retries, giveups, len(out.Results))
+	var retries, giveups, attempts int
+	for _, s := range tr.Spans(0) {
+		switch {
+		case s.Name == "attempt":
+			attempts++
+		case s.Name == "invoke" && s.Attr("error") != "":
+			giveups++
+		case s.Name == "invoke" && s.Attr("attempts") != "":
+			retries++
+			if s.Attr("attempts") != "2" || s.Attr("service") != "getItems" {
+				t.Errorf("retried invoke span = %+v", s)
+			}
+		}
+	}
+	if retries != 1 || giveups != 0 || attempts != 2 || len(out.Results) != 1 {
+		t.Fatalf("retries=%d giveups=%d attempts=%d results=%d", retries, giveups, attempts, len(out.Results))
 	}
 
-	// Exhausting attempts under best effort emits a give-up event.
+	// Exhausting attempts under best effort leaves an invoke span
+	// carrying the final error.
 	doc2, q2, reg2 := oneCallWorld(time.Millisecond, func([]*tree.Node) ([]*tree.Node, error) {
 		return itemForest(), nil
 	})
 	flaky2 := service.NewFaults(service.FaultSpec{Seed: 1, FailFirst: 5}).Wrap(reg2)
-	giveups = 0
+	tr2 := telemetry.NewTracer(0)
 	_, err = Evaluate(doc2, q2, flaky2, Options{
-		Strategy: LazyNFQ, Retry: RetryPolicy{MaxAttempts: 2}, Failure: BestEffort,
-		Trace: func(ev TraceEvent) {
-			if ev.Kind == TraceGiveUp {
-				giveups++
-				if ev.Attempts != 2 || ev.Err == "" {
-					t.Errorf("give-up event = %+v", ev)
-				}
-			}
-		},
+		Strategy: LazyNFQ, Retry: RetryPolicy{MaxAttempts: 2}, Failure: BestEffort, Tracer: tr2,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	giveups = 0
+	for _, s := range tr2.Spans(0) {
+		if s.Name == "invoke" && s.Attr("error") != "" {
+			giveups++
+			if s.Attr("attempts") != "2" {
+				t.Errorf("give-up invoke span = %+v", s)
+			}
+		}
 	}
 	if giveups != 1 {
 		t.Fatalf("giveups = %d, want 1", giveups)

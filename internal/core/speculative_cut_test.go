@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/activexml/axml/internal/rewrite"
+	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -47,18 +48,14 @@ func TestSpeculativeBudgetCutsInDocOrder(t *testing.T) {
 	// Reference run: learn the first speculative batch's membership and
 	// its NFQ-retrieval order.
 	w := workload.Hotels(spec)
-	var refEvents []TraceEvent
 	ref := base
-	ref.Trace = func(ev TraceEvent) { refEvents = append(refEvents, ev) }
+	ref.Tracer = telemetry.NewTracer(0)
 	if _, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, ref); err != nil {
 		t.Fatal(err)
 	}
 	firstBatch := 0
-	for _, ev := range refEvents {
-		if ev.Kind == TraceInvoke {
-			firstBatch = ev.Calls
-			break
-		}
+	if sizes := invokeBatches(ref.Tracer.Spans(0)); len(sizes) > 0 {
+		firstBatch = sizes[0]
 	}
 	if firstBatch < 2 {
 		t.Fatalf("first speculative batch too small to cut: %d", firstBatch)

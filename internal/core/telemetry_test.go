@@ -11,59 +11,51 @@ import (
 )
 
 // TestParallelTraceDeterminism: under a parallel detection pool the
-// coordinator must emit trace events merged deterministically by
-// (Layer, Round, Shard) — two identical runs see identical streams.
+// coordinator must emit spans merged deterministically by (layer,
+// round, shard) — two identical runs see identical streams.
 func TestParallelTraceDeterminism(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.Hotels = 8
 	spec.HiddenHotels = 2
-	stream := func() []string {
+	run := func() *telemetry.Tracer {
 		w := workload.Hotels(spec)
-		var events []string
-		opt := Options{
-			Strategy: LazyNFQ, Layering: true, Parallel: true, Workers: 4,
-			Trace: func(e TraceEvent) {
-				events = append(events, fmt.Sprintf("%d/%d/%d %s %s %s",
-					e.Layer, e.Round, e.Shard, e.Kind, e.Target, e.Service))
-			},
-		}
+		tr := telemetry.NewTracer(0)
+		opt := Options{Strategy: LazyNFQ, Layering: true, Parallel: true, Workers: 4, Tracer: tr}
 		if _, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt); err != nil {
 			t.Fatal(err)
 		}
-		return events
+		return tr
 	}
-	a := stream()
-	for run := 0; run < 3; run++ {
-		b := stream()
+	ref := run()
+	a := spanStream(t, ref)
+	for i := 0; i < 3; i++ {
+		b := spanStream(t, run())
 		if len(a) != len(b) {
-			t.Fatalf("run %d: %d events vs %d", run, len(b), len(a))
+			t.Fatalf("run %d: %d spans vs %d", i, len(b), len(a))
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("run %d event %d: %q vs %q", run, i, b[i], a[i])
+		for j := range a {
+			if a[j] != b[j] {
+				t.Fatalf("run %d span %d: %q vs %q", i, j, b[j], a[j])
 			}
 		}
 	}
-	// Within each layer, detect events are ordered by (round, shard).
-	w := workload.Hotels(spec)
-	var last struct{ layer, round, shard int }
-	last.layer = -1
-	opt := Options{
-		Strategy: LazyNFQ, Layering: true, Parallel: true, Workers: 4,
-		Trace: func(e TraceEvent) {
-			if e.Kind != TraceDetect {
-				return
-			}
-			if e.Layer == last.layer && (e.Round < last.round ||
-				(e.Round == last.round && e.Shard <= last.shard && e.Shard != 0)) {
-				t.Errorf("detect order violated: layer %d round %d shard %d after round %d shard %d",
-					e.Layer, e.Round, e.Shard, last.round, last.shard)
-			}
-			last.layer, last.round, last.shard = e.Layer, e.Round, e.Shard
-		},
-	}
-	if _, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt); err != nil {
-		t.Fatal(err)
+	// Within each layer, detect spans are ordered by (round, shard).
+	type pos struct{ round, shard int }
+	last := map[telemetry.SpanID]pos{}
+	for _, s := range ref.Spans(0) {
+		if s.Name != "detect" {
+			continue
+		}
+		round, err := strconv.Atoi(s.Attr("round"))
+		if err != nil {
+			t.Fatalf("detect span round: %v", err)
+		}
+		if p, ok := last[s.Parent]; ok && (round < p.round ||
+			(round == p.round && s.Shard <= p.shard && s.Shard != 0)) {
+			t.Errorf("detect order violated: round %d shard %d after round %d shard %d",
+				round, s.Shard, p.round, p.shard)
+		}
+		last[s.Parent] = pos{round, s.Shard}
 	}
 }
 
@@ -193,40 +185,4 @@ func TestEngineSpansParallelShards(t *testing.T) {
 	if !sharded {
 		t.Error("no detect span carried a non-zero shard")
 	}
-}
-
-// TestBridgeTrace adapts the event stream into spans and checks the
-// bridged spans carry the events' ordering attributes.
-func TestBridgeTrace(t *testing.T) {
-	w := workload.Hotels(workload.DefaultSpec())
-	tr := telemetry.NewTracer(0)
-	root := tr.Start("session", 0)
-	opt := Options{Strategy: LazyNFQ, Trace: BridgeTrace(tr, root.ID())}
-	out, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	var invokes int
-	for _, s := range tr.Spans(0) {
-		switch s.Name {
-		case "event.invoke":
-			invokes++
-			if s.Parent != root.ID() {
-				t.Errorf("bridged span not parented under the session: %+v", s)
-			}
-			if s.Attr("round") == "" || s.Attr("service") == "" {
-				t.Errorf("bridged invoke span misses attrs: %+v", s)
-			}
-		case "event.detect":
-			if s.Attr("layer") == "" {
-				t.Errorf("bridged detect span misses layer: %+v", s)
-			}
-		}
-	}
-	if invokes != out.Stats.CallsInvoked {
-		t.Errorf("bridged invoke spans %d vs calls %d", invokes, out.Stats.CallsInvoked)
-	}
-	// A nil tracer bridge is a no-op TraceFunc.
-	BridgeTrace(nil, 0)(TraceEvent{Kind: TraceInvoke})
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -8,8 +9,39 @@ import (
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/profile"
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/workload"
 )
+
+// spanStream renders an evaluation's spans in record order for
+// planned-vs-static comparison: the run-dependent fields (Start, Wall,
+// Worker) and the planner's own "plan" spans are left out, and span IDs
+// become positions in the rendered stream.
+func spanStream(t *testing.T, tr *telemetry.Tracer) []string {
+	t.Helper()
+	if n := tr.Dropped(); n > 0 {
+		t.Fatalf("span ring dropped %d spans; the stream is incomplete", n)
+	}
+	var kept []telemetry.Span
+	pos := map[telemetry.SpanID]int{}
+	for _, s := range tr.Spans(0) {
+		if s.Name == "plan" {
+			continue
+		}
+		pos[s.ID] = len(kept)
+		kept = append(kept, s)
+	}
+	out := make([]string, len(kept))
+	for i, s := range kept {
+		parent, ok := pos[s.Parent]
+		if !ok {
+			parent = -1
+		}
+		out[i] = fmt.Sprintf("%s parent=%d shard=%d virtual=%v trace=%q %v",
+			s.Name, parent, s.Shard, s.Virtual, s.Trace, s.Attrs)
+	}
+	return out
+}
 
 // randomSpec mirrors the core package's differential world generator
 // (same mixed congruential draw, so the two suites stress comparable
@@ -117,7 +149,8 @@ func warmPlanner(t *testing.T, w *workload.World, opt core.Options) *CostPlanner
 // over 50 seeded workloads and both option shapes, evaluation with the
 // cost planner must be indistinguishable from the static engine at
 // every pool width — identical result sets, identical Stats (virtual
-// clock included) and an identical trace event stream. The planner may
+// clock included) and an identical span stream, less timing, worker
+// ids and the planner's own plan spans. The planner may
 // only reorder and resize work; anything it changes that a trace can
 // see is a bug this test catches.
 func TestPlannedDifferentialAcrossSeeds(t *testing.T) {
@@ -129,24 +162,23 @@ func TestPlannedDifferentialAcrossSeeds(t *testing.T) {
 		w := workload.Hotels(spec)
 		for ci, base := range differentialConfigs(w) {
 			planner := warmPlanner(t, w, base)
-			run := func(width int, pl core.InvocationPlanner) (*core.Outcome, []core.TraceEvent) {
+			run := func(width int, pl core.InvocationPlanner) (*core.Outcome, []string) {
 				opt := base
 				opt.InvokeWorkers = width
 				opt.Planner = pl
-				var events []core.TraceEvent
-				opt.Trace = func(ev core.TraceEvent) { events = append(events, ev) }
+				opt.Tracer = telemetry.NewTracer(0)
 				out, err := core.Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt)
 				if err != nil {
 					t.Fatalf("seed %d cfg %d width %d planned=%v: %v", seed, ci, width, pl != nil, err)
 				}
-				return out, events
+				return out, spanStream(t, opt.Tracer)
 			}
-			ref, refEvents := run(1, nil)
+			ref, refSpans := run(1, nil)
 			want := resultKeys(ref)
 			wantStats := comparableStats(ref)
 			for _, width := range []int{1, 2, 4, 8} {
 				for _, pl := range []core.InvocationPlanner{nil, planner} {
-					out, events := run(width, pl)
+					out, spans := run(width, pl)
 					if got := resultKeys(out); got != want {
 						t.Errorf("seed %d cfg %d width %d planned=%v: results diverge\n got %q\nwant %q",
 							seed, ci, width, pl != nil, got, want)
@@ -155,9 +187,9 @@ func TestPlannedDifferentialAcrossSeeds(t *testing.T) {
 						t.Errorf("seed %d cfg %d width %d planned=%v: stats diverge\n got %+v\nwant %+v",
 							seed, ci, width, pl != nil, got, wantStats)
 					}
-					if !reflect.DeepEqual(events, refEvents) {
-						t.Errorf("seed %d cfg %d width %d planned=%v: trace stream diverges (%d vs %d events)",
-							seed, ci, width, pl != nil, len(events), len(refEvents))
+					if !reflect.DeepEqual(spans, refSpans) {
+						t.Errorf("seed %d cfg %d width %d planned=%v: span stream diverges (%d vs %d spans)",
+							seed, ci, width, pl != nil, len(spans), len(refSpans))
 					}
 				}
 			}
@@ -192,23 +224,22 @@ func TestPlannedDifferentialUnderFaults(t *testing.T) {
 			base.Retry = core.RetryPolicy{MaxAttempts: 25, Backoff: time.Millisecond, Jitter: 0.5, Seed: seed}
 			base.Failure = core.BestEffort
 			planner := warmPlanner(t, w, differentialConfigs(w)[ci])
-			run := func(width int, pl core.InvocationPlanner) (*core.Outcome, []core.TraceEvent) {
+			run := func(width int, pl core.InvocationPlanner) (*core.Outcome, []string) {
 				opt := base
 				opt.InvokeWorkers = width
 				opt.Planner = pl
-				var events []core.TraceEvent
-				opt.Trace = func(ev core.TraceEvent) { events = append(events, ev) }
+				opt.Tracer = telemetry.NewTracer(0)
 				out, err := core.Evaluate(w.Doc.Clone(), w.Query, freshFaults(), opt)
 				if err != nil {
 					t.Fatalf("seed %d cfg %d width %d planned=%v: %v", seed, ci, width, pl != nil, err)
 				}
-				return out, events
+				return out, spanStream(t, opt.Tracer)
 			}
-			refOut, refEvents := run(1, nil)
+			refOut, refSpans := run(1, nil)
 			want := resultKeys(refOut)
 			wantStats := comparableStats(refOut)
 			// Width 1: full identity, faults included.
-			out, events := run(1, planner)
+			out, spans := run(1, planner)
 			if got := resultKeys(out); got != want {
 				t.Errorf("seed %d cfg %d width 1 planned: faulted results diverge", seed, ci)
 			}
@@ -216,7 +247,7 @@ func TestPlannedDifferentialUnderFaults(t *testing.T) {
 				t.Errorf("seed %d cfg %d width 1 planned: faulted stats diverge\n got %+v\nwant %+v",
 					seed, ci, got, wantStats)
 			}
-			if !reflect.DeepEqual(events, refEvents) {
+			if !reflect.DeepEqual(spans, refSpans) {
 				t.Errorf("seed %d cfg %d width 1 planned: faulted trace diverges", seed, ci)
 			}
 			// Wider pools: the retried evaluation must still converge to

@@ -11,7 +11,8 @@
 // contract (core.InvocationPlanner) only lets a plan reorder and resize
 // work: responses are applied in member order after the pool drains and
 // a batch is charged its slowest member either way, so results, Stats
-// and trace events are bit-identical with the planner on or off — the
+// and engine spans (less the planner's own "plan" spans and wall-clock
+// timing) are bit-identical with the planner on or off — the
 // differential tests in this package pin that across seeds, widths and
 // injected faults. A cold planner (no profiles yet) assigns every
 // service the same uniform prior cost, which collapses its schedule to

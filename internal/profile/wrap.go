@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"github.com/activexml/axml/internal/pattern"
+	"github.com/activexml/axml/internal/repo"
 	"github.com/activexml/axml/internal/service"
-	"github.com/activexml/axml/internal/store"
 	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 )
@@ -84,13 +84,13 @@ func countNodes(forest []*tree.Node) int {
 
 // SaveFile persists the profiler's cumulative state to dir/FileName
 // durably (checksummed payload, atomic rename, fsync — see
-// store.WriteFileAtomic). Call it on drain.
+// repo.WriteFileAtomic). Call it on drain.
 func (p *Profiler) SaveFile(dir string) error {
 	data, err := p.Marshal()
 	if err != nil {
 		return err
 	}
-	return store.WriteFileAtomic(dir, FileName, data, true)
+	return repo.WriteFileAtomic(dir, FileName, data, true)
 }
 
 // LoadFile merges dir/FileName into the profiler. A missing file is a

@@ -1,14 +1,15 @@
 package repo
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
-
-	"github.com/activexml/axml/internal/store"
+	"syscall"
 )
 
 // Backend is the byte-level storage a Repo runs over: a flat namespace
@@ -29,14 +30,91 @@ type Backend interface {
 	List() ([]string, error)
 }
 
-// DirBackend stores files in one directory with the same atomic
-// temp-file + rename + fsync discipline as internal/store — the two can
-// share a directory, which is how a flat store dir upgrades to an
-// indexed repository in place.
+// ValidName guards against path traversal and unusable names: the
+// naming contract every layer that maps document names to files shares.
+// A leading '.' is rejected because dot files are hidden from directory
+// listings (DirBackend.List skips them), so such a document could be
+// stored but never listed.
+func ValidName(name string) error {
+	if name == "" {
+		return fmt.Errorf("repo: empty document name")
+	}
+	for _, c := range name {
+		ok := c == '-' || c == '_' || c == '.' ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+		if !ok {
+			return fmt.Errorf("repo: invalid document name %q", name)
+		}
+	}
+	if strings.HasPrefix(name, ".") || strings.Contains(name, "..") {
+		return fmt.Errorf("repo: invalid document name %q", name)
+	}
+	return nil
+}
+
+// WriteFileAtomic writes data to dir/filename through a temp file and a
+// rename, so readers only ever see the old or the new content. With sync
+// set the write is also durable: rename alone only orders the directory
+// entry, not the data — after a crash the new name can point at an empty
+// or partial file — so the temp file is fsynced before it becomes
+// reachable and the directory after, putting the rename itself on stable
+// storage. Exported for sidecar files kept next to a repository (the
+// server's profiles.json) that need the same guarantees.
+func WriteFileAtomic(dir, filename string, data []byte, sync bool) error {
+	tmp, err := os.CreateTemp(dir, "."+filename+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmpName := tmp.Name()
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return err
+	}
+	if sync {
+		if err := tmp.Sync(); err != nil {
+			tmp.Close()
+			os.Remove(tmpName)
+			return err
+		}
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	if err := os.Rename(tmpName, filepath.Join(dir, filename)); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	if sync {
+		return syncDir(dir)
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory so a just-renamed entry survives a crash.
+// Platforms whose directories reject fsync (it is optional in POSIX)
+// degrade to the pre-sync behaviour rather than failing the write.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		return err
+	}
+	return nil
+}
+
+// DirBackend stores files in one directory with WriteFileAtomic's
+// temp-file + rename + fsync discipline. A directory of plain .axml
+// files is a valid backend: its documents open cold once and are then
+// repaired into indexed entries in place.
 type DirBackend struct {
 	dir string
 	// Sync makes writes durable (fsync file and directory); see
-	// store.WriteFileAtomic. OpenDir sets it.
+	// WriteFileAtomic. OpenDir sets it.
 	Sync bool
 }
 
@@ -57,7 +135,7 @@ func (b *DirBackend) ReadFile(name string) ([]byte, error) {
 }
 
 func (b *DirBackend) WriteFile(name string, data []byte) error {
-	return store.WriteFileAtomic(b.dir, name, data, b.Sync)
+	return WriteFileAtomic(b.dir, name, data, b.Sync)
 }
 
 func (b *DirBackend) Remove(name string) error {

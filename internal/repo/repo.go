@@ -1,5 +1,5 @@
-// Package repo is the persistent indexed repository of AXML documents:
-// the storage engine layered over the flat file store. Each document is
+// Package repo is the persistent indexed repository of AXML documents,
+// the persistence layer of an ActiveXML peer. Each document is
 // persisted together with its serialized annotated F-guide (label
 // paths, call-node annotations and node counts — the on-disk form of
 // the Section 6.2 index, in the shape of an annotated strong dataguide)
@@ -17,7 +17,7 @@
 // load-bearing: if it is missing or unparseable the repository cannot
 // invent data and the error surfaces.
 //
-// Schemas ride along as a third part so store-restored masters keep
+// Schemas ride along as a third part so repository-restored masters keep
 // typed pruning across restarts (they cannot be derived from the
 // document, so a corrupt schema sidecar is dropped loudly rather than
 // rebuilt).
@@ -38,17 +38,16 @@ import (
 
 	"github.com/activexml/axml/internal/fguide"
 	"github.com/activexml/axml/internal/schema"
-	"github.com/activexml/axml/internal/store"
 	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 )
 
-// File extensions of the parts of one repository entry. DocExt matches
-// internal/store so a flat store directory upgrades to an indexed
-// repository in place: the first Get finds no manifest, opens cold, and
-// repairs the entry to indexed form.
+// File extensions of the parts of one repository entry. A document is
+// a plain XML file, so a directory of bare .axml files upgrades to an
+// indexed repository in place: the first Get finds no manifest, opens
+// cold, and repairs the entry to indexed form.
 const (
-	DocExt      = store.Extension
+	DocExt      = ".axml"
 	GuideExt    = ".fguide"
 	SchemaExt   = ".schema"
 	ManifestExt = ".manifest"
@@ -116,7 +115,7 @@ type PutOptions struct {
 
 // Repo is a persistent indexed repository over one backend. It is safe
 // for concurrent use within one process; cross-process safety relies on
-// the backend's atomic replacement, exactly as internal/store.
+// the backend's atomic replacement.
 type Repo struct {
 	b  Backend
 	mu sync.RWMutex
@@ -148,18 +147,6 @@ func Open(dir string) (*Repo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return New(b)
-}
-
-// Over layers a repository on an existing flat store's directory,
-// inheriting its durability setting. Documents the store wrote are
-// served cold once and then repaired to indexed entries.
-func Over(st *store.Store) (*Repo, error) {
-	b, err := OpenDir(st.Dir())
-	if err != nil {
-		return nil, err
-	}
-	b.Sync = st.Sync
 	return New(b)
 }
 
@@ -218,7 +205,7 @@ func countNodes(doc *tree.Document) int {
 // opts is encoded as-is; otherwise the guide is built fresh. The
 // manifest is written last, committing the entry.
 func (r *Repo) Put(name string, doc *tree.Document, opts PutOptions) error {
-	if err := store.ValidName(name); err != nil {
+	if err := ValidName(name); err != nil {
 		return err
 	}
 	docData, err := tree.MarshalIndent(doc.Root)
@@ -294,7 +281,7 @@ func (r *Repo) writeManifest(name string, man *Manifest) error {
 // warm again; a corrupt schema sidecar is logged and dropped. Get never
 // fails a query because of index damage.
 func (r *Repo) Get(name string) (*Opened, error) {
-	if err := store.ValidName(name); err != nil {
+	if err := ValidName(name); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
@@ -341,7 +328,7 @@ func (r *Repo) Get(name string) (*Opened, error) {
 
 // loadManifest reads and validates the manifest against the document
 // bytes. A nil manifest with empty reason means no manifest at all (a
-// flat-store entry — cold but not corrupt); a non-empty reason reports
+// plain document file — cold but not corrupt); a non-empty reason reports
 // why the entry cannot be trusted.
 func (r *Repo) loadManifest(name string, docData []byte) (*Manifest, string) {
 	data, err := r.b.ReadFile(name + ManifestExt)
@@ -362,7 +349,7 @@ func (r *Repo) loadManifest(name string, docData []byte) (*Manifest, string) {
 		return nil, fmt.Sprintf("manifest format %d (want %d)", man.Format, FormatVersion)
 	}
 	if got := stamp(docData); man.Doc != got {
-		// The document moved under the manifest (e.g. a flat-store Put
+		// The document moved under the manifest (e.g. a plain file copy
 		// into an indexed directory). The document is authoritative.
 		return nil, "index is stale (document checksum changed)"
 	}
@@ -452,12 +439,12 @@ func (r *Repo) repair(name string, docData []byte, o *Opened) error {
 }
 
 // Delete removes an entry — document, index, schema and manifest.
-// Deleting a missing document errors, matching the flat store. The
-// manifest goes first and the document last, so a crash part-way leaves
-// either a cold-openable entry or sidecars the next Open sweeps; no
-// ordering can surface an index without its document.
+// Deleting a missing document errors. The manifest goes first and the
+// document last, so a crash part-way leaves either a cold-openable entry
+// or sidecars the next Open sweeps; no ordering can surface an index
+// without its document.
 func (r *Repo) Delete(name string) error {
-	if err := store.ValidName(name); err != nil {
+	if err := ValidName(name); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -475,7 +462,7 @@ func (r *Repo) Delete(name string) error {
 
 // Exists reports whether a document is stored under the name.
 func (r *Repo) Exists(name string) bool {
-	if store.ValidName(name) != nil {
+	if ValidName(name) != nil {
 		return false
 	}
 	r.mu.RLock()
@@ -503,9 +490,9 @@ func (r *Repo) List() ([]string, error) {
 }
 
 // Manifest returns an entry's manifest, or nil when the entry has none
-// (flat-store entries before their first indexed open).
+// (plain document files before their first indexed open).
 func (r *Repo) Manifest(name string) (*Manifest, error) {
-	if err := store.ValidName(name); err != nil {
+	if err := ValidName(name); err != nil {
 		return nil, err
 	}
 	r.mu.RLock()
@@ -552,7 +539,7 @@ func (r *Repo) Stats(name string) (*Manifest, *fguide.Summary, error) {
 // on-disk parts, preserving a valid schema sidecar. The force behind
 // `axmlrepo index build`.
 func (r *Repo) Reindex(name string) (*Manifest, error) {
-	if err := store.ValidName(name); err != nil {
+	if err := ValidName(name); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
@@ -587,12 +574,12 @@ func (r *Repo) manifestLocked(name string) (*Manifest, error) {
 	return &man, nil
 }
 
-// DropIndex removes an entry's index and manifest, leaving a flat-store
+// DropIndex removes an entry's index and manifest, leaving a plain
 // entry that will open cold. Used by tooling and benchmarks to measure
 // the cold path; a valid schema sidecar is left in place but unindexed
 // (it is re-adopted by the repair on the next Get).
 func (r *Repo) DropIndex(name string) error {
-	if err := store.ValidName(name); err != nil {
+	if err := ValidName(name); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -622,7 +609,7 @@ type VerifyReport struct {
 // round-trip against the document, and semantic agreement with a fresh
 // build. The check behind `axmlrepo index verify`.
 func (r *Repo) VerifyIndex(name string) (*VerifyReport, error) {
-	if err := store.ValidName(name); err != nil {
+	if err := ValidName(name); err != nil {
 		return nil, err
 	}
 	r.mu.RLock()

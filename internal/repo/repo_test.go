@@ -11,8 +11,8 @@ import (
 
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/fguide"
-	"github.com/activexml/axml/internal/store"
 	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
 
@@ -72,6 +72,9 @@ func TestPutGetWarmRoundTrip(t *testing.T) {
 	}
 	if !o.Warm {
 		t.Fatal("fresh Put did not open warm")
+	}
+	if !o.Doc.Root.Equal(w.Doc.Root) {
+		t.Fatal("document round trip mismatch")
 	}
 	if o.Guide == nil || !fguide.Synced(o.Guide) || o.Guide.Doc() != o.Doc {
 		t.Fatal("opened guide is not synced with the opened document")
@@ -145,18 +148,28 @@ func TestPutRejectsForeignOrInvalid(t *testing.T) {
 	}
 }
 
-func TestFlatStoreUpgradesInPlace(t *testing.T) {
-	w := workload.Hotels(workload.DefaultSpec())
-	dir := t.TempDir()
-	st, err := store.Open(dir)
+// writePlain stores doc as a bare document file, the way a directory of
+// hand-written or externally produced .axml files looks.
+func writePlain(t *testing.T, dir, name string, doc *tree.Document) {
+	t.Helper()
+	data, err := tree.MarshalIndent(doc.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put("w", w.Doc); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, name+DocExt), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	r, err := Over(st)
+// TestFlatStoreUpgradesInPlace: a directory of plain .axml files opens
+// as a repository; each document is served cold once, then repaired to
+// an indexed entry that opens warm.
+func TestFlatStoreUpgradesInPlace(t *testing.T) {
+	w := workload.Hotels(workload.DefaultSpec())
+	dir := t.TempDir()
+	writePlain(t, dir, "w", w.Doc)
+
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +182,17 @@ func TestFlatStoreUpgradesInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.Warm {
-		t.Fatal("flat-store entry opened warm before any index existed")
+		t.Fatal("plain document opened warm before any index existed")
+	}
+	if !o.Doc.Root.Equal(w.Doc.Root) {
+		t.Fatal("plain document changed on its cold open")
 	}
 	if o.Guide == nil || !fguide.Synced(o.Guide) {
 		t.Fatal("cold open did not rebuild a synced guide")
 	}
 	// A missing manifest is a cold open, not corruption.
 	if v := counterValue(reg, telemetry.MetricRepoCorruptions); v != 0 {
-		t.Fatalf("corruptions = %d on a plain flat-store entry", v)
+		t.Fatalf("corruptions = %d on a plain document", v)
 	}
 	if v := counterValue(reg, telemetry.MetricRepoRepairs); v != 1 {
 		t.Fatalf("repairs = %d, want 1", v)
@@ -190,11 +206,9 @@ func TestFlatStoreUpgradesInPlace(t *testing.T) {
 		t.Fatal("repaired entry did not open warm")
 	}
 
-	// A flat-store Put into the indexed directory makes the index stale;
+	// A plain file copied over the indexed entry makes the index stale;
 	// the document is authoritative and the entry re-repairs.
-	if err := st.Put("w", workload.Hotels(workload.HotelSpec{Hotels: 3, TargetEvery: 1, FiveStarEvery: 1}).Doc); err != nil {
-		t.Fatal(err)
-	}
+	writePlain(t, dir, "w", workload.Hotels(workload.HotelSpec{Hotels: 3, TargetEvery: 1, FiveStarEvery: 1}).Doc)
 	o3, err := r.Get("w")
 	if err != nil {
 		t.Fatal(err)
@@ -361,6 +375,10 @@ func TestCorruptDocumentFailsGet(t *testing.T) {
 	if _, err := r.Get("w"); err == nil {
 		t.Fatal("Get succeeded on an unparseable document")
 	}
+	// A corrupt document still exists and lists.
+	if names, err := r.List(); err != nil || len(names) != 1 || names[0] != "w" || !r.Exists("w") {
+		t.Fatalf("List = %v, %v; corrupt entry must stay visible", names, err)
+	}
 	if _, err := r.Get("missing"); err == nil {
 		t.Fatal("Get succeeded on a missing document")
 	}
@@ -374,6 +392,9 @@ func TestDeleteRemovesEveryPart(t *testing.T) {
 	}
 	if err := r.Delete("w"); err != nil {
 		t.Fatal(err)
+	}
+	if r.Exists("w") {
+		t.Fatal("deleted entry still exists")
 	}
 	for _, ext := range []string{DocExt, GuideExt, SchemaExt, ManifestExt} {
 		if _, err := os.Stat(filepath.Join(dir, "w"+ext)); !os.IsNotExist(err) {
@@ -473,7 +494,7 @@ func TestIndexTooling(t *testing.T) {
 		t.Fatalf("after reindex: Warm=%v Schema=%v", o.Warm, o.Schema != nil)
 	}
 
-	// DropIndex leaves a cold flat-store entry.
+	// DropIndex leaves a cold plain entry.
 	if err := r.DropIndex("w"); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -16,7 +20,6 @@ import (
 	"github.com/activexml/axml/internal/plan"
 	"github.com/activexml/axml/internal/repo"
 	"github.com/activexml/axml/internal/service"
-	"github.com/activexml/axml/internal/store"
 	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
@@ -576,25 +579,35 @@ func waitUntil(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestStoreBackedRepository checks the persistence path: Drain writes
-// every master back to the store, and a fresh manager faults documents
-// in from the store on first query — including the materialisation the
-// previous incarnation already paid for.
+// TestStoreBackedRepository checks the persistence path over a directory
+// of plain .axml files: a manager faults the document in from the bare
+// file (cold, then repaired into an indexed entry), Drain writes the
+// master back, and a fresh manager opens it warm — including the
+// materialisation the previous incarnation already paid for.
 func TestStoreBackedRepository(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg, scenarios := workload.Suite(suiteSpec())
 	engine := core.Options{Strategy: core.LazyNFQ}
 	oracle := serialOracle(t, reg, scenarios, engine)
-
-	m1 := NewManager(Config{Registry: reg, Store: st, Engine: engine})
 	sc := scenarios[0]
-	if err := m1.AddDocument(sc.Name, sc.Doc.Clone(), sc.Schema); err != nil {
+	data, err := tree.MarshalIndent(sc.Doc.Root)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(dir, sc.Name+repo.DocExt), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open := func() (*repo.Repo, *telemetry.Registry) {
+		rp, err := repo.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp.Logger = log.New(io.Discard, "", 0)
+		return rp, telemetry.NewRegistry()
+	}
+
+	rp1, met1 := open()
+	m1 := NewManager(Config{Registry: reg, Repo: rp1, Metrics: met1, Engine: engine})
 	first, err := m1.Query(context.Background(), Request{Document: sc.Name, Query: sc.Queries[0]})
 	if err != nil {
 		t.Fatal(err)
@@ -602,18 +615,25 @@ func TestStoreBackedRepository(t *testing.T) {
 	if first.Stats.CallsInvoked == 0 {
 		t.Fatal("first query invoked nothing")
 	}
+	if got, want := canon(first.Bindings), oracle[sc.Name+"|"+sc.Queries[0]]; got != want {
+		t.Fatalf("plain-file document diverges:\n got %s\nwant %s", got, want)
+	}
+	if v := met1.Counter(telemetry.MetricRepoRebuilds).Value(); v != 1 {
+		t.Fatalf("plain file opened with %d index builds, want 1 (cold)", v)
+	}
+	if man, err := rp1.Manifest(sc.Name); err != nil || man == nil {
+		t.Fatalf("cold open did not repair the entry to indexed form: %v, %v", man, err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := m1.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Exists(sc.Name) {
-		t.Fatal("drain did not persist the master")
-	}
 
-	// Second incarnation: no AddDocument — the store supplies the
-	// document, already materialised for this query.
-	m2 := NewManager(Config{Registry: reg, Store: st, Engine: engine})
+	// Second incarnation: the repository supplies the document, already
+	// materialised for this query, with a warm index.
+	rp2, met2 := open()
+	m2 := NewManager(Config{Registry: reg, Repo: rp2, Metrics: met2, Engine: engine})
 	res, err := m2.Query(context.Background(), Request{Document: sc.Name, Query: sc.Queries[0]})
 	if err != nil {
 		t.Fatal(err)
@@ -624,13 +644,12 @@ func TestStoreBackedRepository(t *testing.T) {
 	if !res.Complete {
 		t.Fatal("restored query incomplete")
 	}
-	// The store directory is wrapped into an indexed repository, so the
-	// faulted-in entry arrives with its schema and keeps typed pruning:
-	// the master is already complete for this query under the same
-	// strategy, and the restored run invokes nothing at all.
 	if res.Stats.CallsInvoked != 0 {
-		t.Fatalf("restored master re-invoked %d calls — persistence lost the materialisation or the schema",
+		t.Fatalf("restored master re-invoked %d calls — persistence lost the materialisation",
 			res.Stats.CallsInvoked)
+	}
+	if w, b := met2.Counter(telemetry.MetricRepoWarmOpens).Value(), met2.Counter(telemetry.MetricRepoRebuilds).Value(); w != 1 || b != 0 {
+		t.Fatalf("restart opened with %d warm opens and %d index builds, want 1 and 0", w, b)
 	}
 }
 

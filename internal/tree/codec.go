@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // CallNamespace is the XML namespace used to mark function nodes, in the
@@ -168,6 +169,9 @@ func UnmarshalForest(data []byte) ([]*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if t.Name.Space != "" && !nameStart(t.Name.Local) {
+				return nil, fmt.Errorf("tree: element %s:%s has no valid name without its prefix", t.Name.Space, t.Name.Local)
+			}
 			// Inside a <tuples> payload every element is plain data:
 			// <tuple> wrappers and variable elements inherit the AXML
 			// default namespace from the serialiser but must not be
@@ -217,6 +221,21 @@ func UnmarshalForest(data []byte) ([]*Node, error) {
 		return nil, fmt.Errorf("tree: unclosed element %s", stack[len(stack)-1].Label)
 	}
 	return roots, nil
+}
+
+// nameStart reports whether a namespace-stripped element name is still
+// an XML name. The decoder validated the prefixed name, so only the
+// first character of the local part can be wrong: "<p:0/>" parses, but
+// the label "0" would not re-parse once serialised without the prefix.
+func nameStart(local string) bool {
+	if local == "" {
+		return false
+	}
+	if c := local[0]; c < utf8.RuneSelf {
+		return c == '_' || c == ':' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+	}
+	_, err := xml.NewDecoder(strings.NewReader("<" + local + "/>")).Token()
+	return err == nil
 }
 
 func startNode(t xml.StartElement) (*Node, error) {
