@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz bench telemetry profile loadsmoke perfcheck
+.PHONY: check build vet test race fuzz bench telemetry profile loadsmoke perfcheck microbench
 
 check: vet build telemetry race fuzz loadsmoke perfcheck
 
@@ -57,8 +57,12 @@ loadsmoke:
 	$(GO) run ./cmd/axmlload -self -clients 8 -requests 160 \
 		-trace-out out/loadsmoke_trace.jsonl -stats-out out/loadsmoke_stats.json
 
+# microbench runs the substrate micro-benchmarks: the pattern evaluator,
+# guided relevance detection over a warm F-guide (BenchmarkDetectGuided,
+# 200 hotels), the telemetry overhead pair and the E13 allocation gate.
 microbench:
 	$(GO) test -bench . -benchmem ./internal/pattern/
+	$(GO) test -run '^$$' -bench DetectGuided -benchmem .
 	$(GO) test -bench E10TelemetryOverhead -benchmem .
 	$(GO) test -run TestE13AllocationRegression -count=1 ./internal/bench/
 

@@ -10,6 +10,7 @@ package axml
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/activexml/axml/internal/bench"
 	"github.com/activexml/axml/internal/core"
@@ -188,6 +189,42 @@ func BenchmarkFGuideCandidates(b *testing.B) {
 			g.Candidates(nfq.Lin, nfq.DescTail)
 		}
 	}
+}
+
+// BenchmarkDetectGuided measures guided relevance detection end to end:
+// the typed lazy strategy over a warm F-guide (built outside the timer,
+// as a repository's persisted index would be) on the 200-hotel world
+// that the repo-query benchmark stores. Every iteration evaluates a fresh
+// clone, so the residual matchers' memos start cold and persist across
+// that evaluation's rounds. detect-ms/op isolates Stats.DetectTime.
+func BenchmarkDetectGuided(b *testing.B) {
+	spec := workload.DefaultSpec()
+	spec.Hotels = 200
+	spec.HiddenHotels = spec.Hotels / 5
+	w := workload.Hotels(spec)
+	var detect time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		doc := w.Doc.Clone()
+		g := fguide.Build(doc)
+		b.StartTimer()
+		out, err := core.Evaluate(doc, w.Query, w.Registry, core.Options{
+			Strategy: core.LazyNFQTyped,
+			Schema:   w.Schema,
+			UseGuide: true,
+			Guide:    g,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !out.Complete {
+			b.Fatal("incomplete evaluation")
+		}
+		detect += out.Stats.DetectTime
+	}
+	b.ReportMetric(float64(detect.Microseconds())/1e3/float64(b.N), "detect-ms/op")
 }
 
 func BenchmarkDocumentCodec(b *testing.B) {

@@ -114,7 +114,9 @@ type Options struct {
 	// Push ships subqueries to push-capable services (Section 7).
 	Push bool
 	// UseGuide accelerates relevance detection with an F-guide
-	// (Section 6.2).
+	// (Section 6.2). Guided detection always keeps each relevance
+	// query's residual-condition memo across the NFQA rounds, evicting
+	// only what a splice can have changed (see Incremental's rule).
 	UseGuide bool
 	// Guide, when set together with UseGuide, supplies a pre-built
 	// F-guide for the document — typically one decoded from a
@@ -133,8 +135,8 @@ type Options struct {
 	// O(changed region) nodes instead of O(document). The invoked call
 	// sequence and the results are identical to from-scratch evaluation;
 	// only the work (Stats.NodesVisited vs Stats.MemoHits) changes. It
-	// has no effect on guide-accelerated detection, which does not
-	// evaluate patterns over the full document in the first place.
+	// governs direct detection only; guided detection (UseGuide) always
+	// keeps its residual memo across rounds.
 	Incremental bool
 	// Workers bounds the worker pool that evaluates a round's relevance
 	// queries concurrently; 0 or 1 means sequential detection. Each

@@ -69,8 +69,7 @@ func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt
 	}
 	e := &engine{doc: doc, q: q, reg: reg, opt: opt,
 		names: map[string]bool{}, failed: map[*tree.Node]bool{},
-		incr: map[*rewrite.NFQ]*pattern.IncrementalEvaluator{},
-		met:  resolveMetrics(opt.Metrics)}
+		met: resolveMetrics(opt.Metrics)}
 	evalStart := time.Now()
 	e.spanEval = opt.Tracer.Start("evaluate", 0)
 	e.spanEval.SetAttr("strategy", opt.Strategy.String())
@@ -168,17 +167,10 @@ type engine struct {
 	// the enriched name list (Section 5, "the refined NFQs are enriched
 	// accordingly").
 	nameVersion int
-	// incr holds the persistent evaluator shard of each live relevance
-	// query (Options.Incremental). The map is reset whenever the query
-	// objects are regenerated; apply funnels every document mutation to
-	// the survivors so their memo tables stay sound.
-	incr map[*rewrite.NFQ]*pattern.IncrementalEvaluator
-	// projs holds each live relevance query's document-projection
-	// predicate (typed strategy, NoProject unset). Projections memoise
-	// a per-query satisfiability fixpoint, so they live exactly as long
-	// as the query objects: the map resets alongside incr. Predicates
-	// are immutable and shared read-only by detection pool workers.
-	projs map[*rewrite.NFQ]*schema.Projection
+	// nfqs holds each live relevance query's detection state; reset
+	// whenever the query objects are regenerated, and kept sound across
+	// rounds by apply funnelling every mutation to its memo tables.
+	nfqs map[*rewrite.NFQ]*nfqState
 	// userProj is the user query's own projection, applied to the final
 	// result evaluation; nil when the engine does not project.
 	userProj *schema.Projection
@@ -431,11 +423,10 @@ func (e *engine) drainLayer(members []int, analysis *influence.Analysis, done ma
 				return err
 			}
 			builtAt = e.nameVersion
-			// Regenerated query objects invalidate the evaluator shards
-			// and projection predicates wholesale: both memoise per query
-			// node ID, and the new queries' IDs mean different subtrees.
-			e.incr = map[*rewrite.NFQ]*pattern.IncrementalEvaluator{}
-			e.projs = map[*rewrite.NFQ]*schema.Projection{}
+			// Regenerated query objects invalidate the detection state
+			// wholesale: memo tables and projections key per query node
+			// ID, and the new queries' IDs mean different subtrees.
+			e.nfqs = map[*rewrite.NFQ]*nfqState{}
 			e.stats.AnalysisTime += time.Since(t0)
 		}
 		progressed := false
@@ -618,9 +609,7 @@ func (e *engine) sortedNames() []string {
 // never touch engine state; the coordinator merges.
 type detectDelta struct {
 	queried         bool // a relevance query actually ran (trace + counter)
-	nodesVisited    int
-	memoHits        int
-	subtreesPruned  int
+	pattern.Stats        // direct evaluation work
 	guideCandidates int
 }
 
@@ -629,46 +618,57 @@ func (e *engine) mergeDetect(d detectDelta) {
 	if d.queried {
 		e.stats.RelevanceQueries++
 	}
-	e.stats.NodesVisited += d.nodesVisited
-	e.stats.MemoHits += d.memoHits
-	e.stats.SubtreesPruned += d.subtreesPruned
+	e.stats.NodesVisited += d.NodesVisited
+	e.stats.MemoHits += d.MemoHits
+	e.stats.SubtreesPruned += d.SubtreesPruned
 	e.stats.GuideCandidates += d.guideCandidates
 }
 
-// incremental returns (creating on demand) the persistent evaluator shard
-// for one relevance query, or nil when incremental evaluation is off.
-// Only the coordinating goroutine may call it — it writes e.incr; pool
-// workers rely on detectMany pre-creating every shard they will read.
-func (e *engine) incremental(nfq *rewrite.NFQ) *pattern.IncrementalEvaluator {
-	if !e.opt.Incremental {
-		return nil
-	}
-	iev := e.incr[nfq]
-	if iev == nil {
-		iev = pattern.NewIncrementalProjected(nfq.Query, asProjector(e.projection(nfq)))
-		e.incr[nfq] = iev
-	}
-	return iev
+// nfqState is one live relevance query's detection state: a residual
+// matcher for guided detection (Section 6.2); for direct detection the
+// projection predicate and, with Options.Incremental, an evaluator shard.
+// Unused fields stay nil.
+type nfqState struct {
+	residual *pattern.ResidualMatcher
+	iev      *pattern.IncrementalEvaluator
+	proj     pattern.Projector
 }
 
-// projection returns (building on demand) the document-projection
-// predicate for one relevance query, or nil when the engine does not
-// project. Construction runs the per-query satisfiability fixpoint, so
-// it is charged to analysis time; the predicate is then cached for the
-// query object's lifetime. Only the coordinating goroutine may call it —
-// it writes e.projs; pool workers rely on detectMany pre-resolving every
-// predicate they will read.
-func (e *engine) projection(nfq *rewrite.NFQ) *schema.Projection {
-	if e.userProj == nil || nfq == nil {
+// state returns (creating on demand) one relevance query's detection
+// state, nil for a nil query. Only the coordinating goroutine may call
+// it — it writes e.nfqs; pool workers rely on detectMany resolving every
+// state they will read.
+func (e *engine) state(nfq *rewrite.NFQ) *nfqState {
+	if nfq == nil {
 		return nil
 	}
-	proj, ok := e.projs[nfq]
-	if !ok {
-		t0 := time.Now()
-		proj = schema.NewProjection(e.opt.Schema, nfq.Query, e.opt.SchemaMode)
-		e.stats.AnalysisTime += time.Since(t0)
-		e.projs[nfq] = proj
+	if st := e.nfqs[nfq]; st != nil {
+		return st
 	}
+	st := &nfqState{}
+	if e.guide != nil {
+		st.residual = pattern.NewResidualMatcher(nfq.Query, nfq.Out)
+	} else {
+		st.proj = asProjector(e.projection(nfq))
+		if e.opt.Incremental {
+			st.iev = pattern.NewIncrementalProjected(nfq.Query, st.proj)
+		}
+	}
+	e.nfqs[nfq] = st
+	return st
+}
+
+// projection builds the document-projection predicate for one relevance
+// query, or returns nil when the engine does not project. Construction
+// runs the per-query satisfiability fixpoint, so it is charged to
+// analysis time.
+func (e *engine) projection(nfq *rewrite.NFQ) *schema.Projection {
+	if e.userProj == nil {
+		return nil
+	}
+	t0 := time.Now()
+	proj := schema.NewProjection(e.opt.Schema, nfq.Query, e.opt.SchemaMode)
+	e.stats.AnalysisTime += time.Since(t0)
 	return proj
 }
 
@@ -697,9 +697,6 @@ func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
 	if e.userProj == nil {
 		return nil
 	}
-	if e.projs == nil {
-		e.projs = map[*rewrite.NFQ]*schema.Projection{}
-	}
 	projs := make([]*schema.Projection, 0, len(base))
 	for _, nfq := range base {
 		p := e.projection(nfq)
@@ -725,9 +722,9 @@ func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
 // evaluation on the document (incremental when the NFQ has a persistent
 // evaluator shard), or via the F-guide followed by type-based and
 // residual filtering (Section 6.2). Type pruning on the output side
-// (Section 5) applies in both paths. It reads shared engine state but
-// mutates none of it, so distinct NFQs may be detected concurrently.
-func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator, proj *schema.Projection) ([]*tree.Node, detectDelta) {
+// (Section 5) applies in both paths. It writes only st's memo tables, so
+// distinct NFQs may be detected concurrently.
+func (e *engine) detect(nfq *rewrite.NFQ, st *nfqState) ([]*tree.Node, detectDelta) {
 	var d detectDelta
 	if nfq == nil {
 		return nil, d
@@ -739,32 +736,27 @@ func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator, pro
 		if len(cands) == 0 {
 			return nil, d
 		}
-		// Candidates share one residual matcher, so condition checks are
-		// memoised across them and each check only explores the
-		// candidate's own ancestors' subtrees (Section 6.2).
+		// Candidates share the query's residual matcher, so condition
+		// checks are memoised across candidates and rounds, and each only
+		// explores the candidate's own ancestors' subtrees (Section 6.2).
 		d.queried = true
-		matcher := pattern.NewResidualMatcher(nfq.Query, nfq.Out)
 		for _, c := range cands {
 			if e.failed[c] || !nfq.SatisfiesOut(e.an, c.Label) {
 				continue
 			}
-			if matcher.Match(e.doc, c) {
+			if st.residual.Match(e.doc, c) {
 				calls = append(calls, c)
 			}
 		}
 		return calls, d
 	}
 	var got []*tree.Node
-	var st pattern.Stats
-	if iev != nil {
-		got, st = iev.MatchedCallsIncremental(e.doc, nfq.Out)
+	if st.iev != nil {
+		got, d.Stats = st.iev.MatchedCallsIncremental(e.doc, nfq.Out)
 	} else {
-		got, st = pattern.MatchedCallsProjected(e.doc, nfq.Query, nfq.Out, asProjector(proj))
+		got, d.Stats = pattern.MatchedCallsProjected(e.doc, nfq.Query, nfq.Out, st.proj)
 	}
 	d.queried = true
-	d.nodesVisited = st.NodesVisited
-	d.memoHits = st.MemoHits
-	d.subtreesPruned = st.SubtreesPruned
 	for _, c := range got {
 		if !e.failed[c] && nfq.SatisfiesOut(e.an, c.Label) {
 			calls = append(calls, c)
@@ -777,8 +769,9 @@ func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator, pro
 // detection time, merges the counters and emits the telemetry span.
 // shard is the member's slot in the current layer.
 func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
+	st := e.state(nfq) // projection building is analysis, not detection
 	t0 := time.Now()
-	calls, d := e.detect(nfq, e.incremental(nfq), e.projection(nfq))
+	calls, d := e.detect(nfq, st)
 	elapsed := time.Since(t0)
 	e.stats.DetectTime += elapsed
 	e.mergeDetect(d)
@@ -818,15 +811,12 @@ func (e *engine) emitDetectSpan(nfq *rewrite.NFQ, shard int, start time.Time, wa
 func (e *engine) detectMany(members []int, queries []*rewrite.NFQ) [][]*tree.Node {
 	calls := make([][]*tree.Node, len(members))
 	deltas := make([]detectDelta, len(members))
-	// Resolve every shard's evaluator and projection predicate on the
-	// coordinator before the pool starts: both caches are maps only the
-	// coordinator may write. Predicate construction is analysis work, so
-	// it happens outside the detection-time window below.
-	ievs := make([]*pattern.IncrementalEvaluator, len(members))
-	projs := make([]*schema.Projection, len(members))
+	// Resolve every shard's state on the coordinator before the pool
+	// starts: e.nfqs is a map only the coordinator may write. Predicate
+	// construction is analysis work, kept outside the detection window.
+	states := make([]*nfqState, len(members))
 	for i, m := range members {
-		ievs[i] = e.incremental(queries[m])
-		projs[i] = e.projection(queries[m])
+		states[i] = e.state(queries[m])
 	}
 	t0 := time.Now()
 	workers := e.opt.Workers
@@ -842,7 +832,7 @@ func (e *engine) detectMany(members []int, queries []*rewrite.NFQ) [][]*tree.Nod
 	walls := make([]time.Duration, len(members))
 	runShard := func(i int) {
 		starts[i] = time.Now()
-		calls[i], deltas[i] = e.detect(queries[members[i]], ievs[i], projs[i])
+		calls[i], deltas[i] = e.detect(queries[members[i]], states[i])
 		walls[i] = time.Since(starts[i])
 	}
 	if workers <= 1 {
@@ -1269,8 +1259,7 @@ func (e *engine) invokeMixedBatch(calls []*tree.Node, nfqs []*rewrite.NFQ) error
 }
 
 // apply splices a response into the document, maintains the guide, the
-// known-name set and the incremental evaluator shards, and updates
-// accounting.
+// known-name set and the per-query memo tables, and updates accounting.
 func (e *engine) apply(call *tree.Node, resp service.Response, wasPushed bool) {
 	parent := call.Parent
 	if e.guide != nil {
@@ -1295,12 +1284,17 @@ func (e *engine) apply(call *tree.Node, resp service.Response, wasPushed bool) {
 		// the whole mutation, so the guide is in fact current.
 		e.guide.MarkSynced()
 	}
-	// Every live evaluator shard drops the memo entries this splice can
+	// Every live query's memo tables drop the entries this splice can
 	// have changed: the removed call subtree and the root-to-parent
 	// spine. Everything off the spine keeps its memo (solutions depend
 	// only on the keyed node's subtree).
-	for _, iev := range e.incr {
-		iev.Invalidate(parent, call)
+	for _, st := range e.nfqs {
+		if st.residual != nil {
+			st.residual.Invalidate(parent, call)
+		}
+		if st.iev != nil {
+			st.iev.Invalidate(parent, call)
+		}
 	}
 	// OnMutate fires last, after the engine's own guide maintenance: an
 	// external holder of the adopted guide observes it already synced.

@@ -368,9 +368,10 @@ type memoEntry struct {
 type evaluator struct {
 	q       *Pattern
 	memo    map[memoKey]*memoEntry
-	fps     map[int]string  // query node ID → pushed-subquery fingerprint
-	order   map[int][]*Node // query node ID → cost-ordered children
-	proj    Projector       // nil: no document projection
+	conds   map[memoKey][]solution // see requirementSolutions; nil until used
+	fps     map[int]string         // query node ID → pushed-subquery fingerprint
+	order   map[int][]*Node        // query node ID → cost-ordered children
+	proj    Projector              // nil: no document projection
 	visited int
 	hits    int
 	pruned  int
@@ -762,11 +763,26 @@ func (rs *reqStream) add(s solution) {
 
 // requirementSolutions drains the requirement's stream into a
 // materialised set — the entry point the residual matcher uses, where
-// candidate batches are validated jointly.
+// candidate batches are validated jointly. A set scoped to one node a
+// (anchor false) is memoised per (c, a): like a match, it depends only on
+// a's subtree, so invalidate evicts it under the same rule.
 func (ev *evaluator) requirementSolutions(c *Node, anchor bool, scope rootScope) []solution {
+	key := memoKey{qnode: c.ID}
+	if !anchor {
+		key.dnode = scope.forest[0]
+		if sols, ok := ev.conds[key]; ok {
+			return sols
+		}
+	}
 	rs := ev.newReqStream(c, anchor, scope)
 	for !rs.done {
 		rs.pull()
+	}
+	if !anchor {
+		if ev.conds == nil {
+			ev.conds = map[memoKey][]solution{}
+		}
+		ev.conds[key] = rs.sols
 	}
 	return rs.sols
 }

@@ -30,9 +30,8 @@ import (
 // The evaluator is not safe for concurrent use; the engine shards one
 // evaluator per relevance query so parallel detection needs no locks.
 type IncrementalEvaluator struct {
-	q    *Pattern
-	ev   *evaluator
-	qids []int
+	q  *Pattern
+	ev *evaluator
 
 	lastVisited int
 	lastHits    int
@@ -54,13 +53,9 @@ func NewIncremental(q *Pattern) *IncrementalEvaluator {
 // and pruning decisions stay consistent across rounds. proj == nil
 // disables projection.
 func NewIncrementalProjected(q *Pattern, proj Projector) *IncrementalEvaluator {
-	ids := make([]int, 0, len(q.Nodes()))
-	for _, n := range q.Nodes() {
-		ids = append(ids, n.ID)
-	}
 	ev := newEvaluator(q)
 	ev.proj = proj
-	return &IncrementalEvaluator{q: q, ev: ev, qids: ids}
+	return &IncrementalEvaluator{q: q, ev: ev}
 }
 
 // Pattern returns the query this evaluator serves.
@@ -108,24 +103,31 @@ func (ie *IncrementalEvaluator) EvalIncremental(doc *tree.Document) ([]Result, S
 // mutation, before the next evaluation; missing a call makes subsequent
 // results stale.
 func (ie *IncrementalEvaluator) Invalidate(parent, removed *tree.Node) {
-	if removed != nil {
-		removed.Walk(func(n *tree.Node) bool {
-			ie.evict(n)
-			return true
-		})
-	}
-	for x := parent; x != nil; x = x.Parent {
-		ie.evict(x)
-	}
+	ie.evictions += ie.ev.invalidate(parent, removed)
 }
 
 // Evictions returns the total number of document nodes whose memo entries
 // were evicted, for accounting.
 func (ie *IncrementalEvaluator) Evictions() int { return ie.evictions }
 
-func (ie *IncrementalEvaluator) evict(n *tree.Node) {
-	ie.evictions++
-	for _, id := range ie.qids {
-		delete(ie.ev.memo, memoKey{qnode: id, dnode: n})
+// invalidate applies the eviction rule above to the memo tables and
+// returns the number of document nodes whose entries it dropped.
+func (ev *evaluator) invalidate(parent, removed *tree.Node) int {
+	evicted := 0
+	evict := func(n *tree.Node) bool {
+		evicted++
+		for _, v := range ev.q.Nodes() {
+			key := memoKey{qnode: v.ID, dnode: n}
+			delete(ev.memo, key)
+			delete(ev.conds, key)
+		}
+		return true
 	}
+	if removed != nil {
+		removed.Walk(evict)
+	}
+	for x := parent; x != nil; x = x.Parent {
+		evict(x)
+	}
+	return evicted
 }

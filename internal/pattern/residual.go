@@ -15,8 +15,10 @@ import (
 // the matcher aligns the query's root→output spine to the candidate's
 // concrete ancestor chain and checks each spine node's off-spine branches
 // *relative to that ancestor* — so a condition on hotel i's name is only
-// searched inside hotel i. Memoisation is shared across candidates of one
-// evaluation round, which is what makes batch validation cheap.
+// searched inside hotel i. Memoisation is shared across candidates, which
+// makes batch validation cheap, and survives the mutations reported to
+// Invalidate, so a matcher kept across NFQA rounds re-verifies only what a
+// splice can have changed. It is not safe for concurrent use.
 type ResidualMatcher struct {
 	q   *Pattern
 	out *Node
@@ -24,6 +26,7 @@ type ResidualMatcher struct {
 	// out excluded (out itself maps to the candidate call).
 	spine []*Node
 	ev    *evaluator
+	anc   []*tree.Node // Match's ancestor-chain buffer
 }
 
 // NewResidualMatcher prepares a matcher for the query's output node. The
@@ -61,10 +64,11 @@ func (m *ResidualMatcher) Match(doc *tree.Document, target *tree.Node) bool {
 		return false
 	}
 	// Ancestor chain of the target, root element first.
-	var anc []*tree.Node
+	anc := m.anc[:0]
 	for x := target.Parent; x != nil; x = x.Parent {
 		anc = append(anc, x)
 	}
+	m.anc = anc
 	for i, j := 0, len(anc)-1; i < j; i, j = i+1, j-1 {
 		anc[i], anc[j] = anc[j], anc[i]
 	}
@@ -79,11 +83,7 @@ func (m *ResidualMatcher) Match(doc *tree.Document, target *tree.Node) bool {
 		if c == spineStart {
 			continue
 		}
-		reqSols := m.ev.requirementSolutions(c, true, rootScope{doc: doc})
-		if len(reqSols) == 0 {
-			return false
-		}
-		sols = joinSolutions(sols, reqSols)
+		sols = joinSolutions(sols, m.ev.requirementSolutions(c, true, rootScope{doc: doc}))
 		if len(sols) == 0 {
 			return false
 		}
@@ -138,12 +138,7 @@ func (m *ResidualMatcher) align(doc *tree.Document, i, prevJ int, anc []*tree.No
 			if c == m.out {
 				continue // the output maps to the target itself
 			}
-			reqSols := m.ev.requirementSolutions(c, false, rootScope{forest: []*tree.Node{a}})
-			if len(reqSols) == 0 {
-				ok = false
-				break
-			}
-			next = joinSolutions(next, reqSols)
+			next = joinSolutions(next, m.ev.requirementSolutions(c, false, rootScope{forest: anc[j : j+1]}))
 			if len(next) == 0 {
 				ok = false
 				break
@@ -154,6 +149,13 @@ func (m *ResidualMatcher) align(doc *tree.Document, i, prevJ int, anc []*tree.No
 		}
 	}
 	return false
+}
+
+// Invalidate reports one ReplaceCall mutation and evicts the memo entries
+// it can have changed, by the rule of IncrementalEvaluator.Invalidate.
+// Call it after every mutation, before the next Match.
+func (m *ResidualMatcher) Invalidate(parent, removed *tree.Node) {
+	m.ev.invalidate(parent, removed)
 }
 
 func spineNodeMatches(s *Node, a *tree.Node) bool {
