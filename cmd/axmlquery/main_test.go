@@ -190,9 +190,9 @@ func TestTemplateOutput(t *testing.T) {
 	}
 }
 
-// TestPerfFlags drives the response cache, the incremental evaluator and
-// the detection worker pool through the CLI surface and checks the cached
-// and uncached runs agree on the results.
+// TestPerfFlags drives the response cache and the incremental evaluator
+// through the CLI surface and checks the cached and uncached runs agree
+// on the results.
 func TestPerfFlags(t *testing.T) {
 	doc := writeWorldDoc(t)
 	results := func(extra ...string) string {
@@ -214,8 +214,7 @@ func TestPerfFlags(t *testing.T) {
 	want := results("-no-cache")
 	for _, extra := range [][]string{
 		{},
-		{"-workers", "4"},
-		{"-layer", "-workers", "8"},
+		{"-layer"},
 		{"-cache-ttl", "1m"},
 	} {
 		if got := results(extra...); got != want {

@@ -138,15 +138,6 @@ type Options struct {
 	// governs direct detection only; guided detection (UseGuide) always
 	// keeps its residual memo across rounds.
 	Incremental bool
-	// Workers bounds the worker pool that evaluates a round's relevance
-	// queries concurrently; 0 or 1 means sequential detection. Each
-	// query keeps its own evaluator shard, so workers share nothing but
-	// the read-only document. With Workers > 1 every member query of the
-	// current layer is evaluated each round (the sequential path stops
-	// at the first query that retrieves a call), so RelevanceQueries and
-	// NodesVisited counters grow even though wall-clock detection time
-	// shrinks; the invoked call sequence is unchanged.
-	Workers int
 	// InvokeWorkers bounds the invocation pool: how many members of a
 	// parallel batch (the independent relevant calls one detection round
 	// yields, Section 4.4) are in flight concurrently. Values > 1 imply
@@ -156,10 +147,9 @@ type Options struct {
 	// so results, Stats and traces are identical for every pool width —
 	// only wall-clock time changes, by ≈ min(InvokeWorkers, batch width)
 	// over real transports. 1 runs batch members sequentially on the
-	// calling goroutine; 0 preserves the historical unbounded behaviour
-	// (one goroutine per batch member). Virtual-clock accounting is
-	// unaffected: a batch is always charged the max, not the sum, of its
-	// members' costs.
+	// calling goroutine; 0 runs one worker (one goroutine) per batch
+	// member. Virtual-clock accounting is unaffected: a batch is always
+	// charged the max, not the sum, of its members' costs.
 	InvokeWorkers int
 	// Planner, when set, decides per round how invocation batches
 	// execute: member-to-worker assignment, effective pool width (up to
@@ -189,11 +179,11 @@ type Options struct {
 	// Tracer, when set, receives hierarchical telemetry spans —
 	// evaluate → analysis/layer → detect/invoke — with wall-clock and
 	// virtual-clock durations, shard identity and per-phase attributes
-	// (the data behind axmlquery -explain and /debug/trace). Span
-	// emission is race-clean under Options.Workers: shard timings are
-	// measured in the workers and emitted by the coordinator in
-	// deterministic order. Nil disables span collection at the cost of
-	// one pointer test per instrumentation point.
+	// (the data behind axmlquery -explain and /debug/trace). Spans are
+	// emitted from the engine goroutine in deterministic order; invoke
+	// spans of a batch follow member order after the pool drains. Nil
+	// disables span collection at the cost of one pointer test per
+	// instrumentation point.
 	Tracer *telemetry.Tracer
 	// RemoteSpans bounds the span subtree a remote provider may return
 	// per invocation for cross-process trace stitching (see

@@ -78,11 +78,10 @@ func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt
 	}
 	if e.opt.Strategy == TopDownEager {
 		// The eager baseline models a blocking top-down processor: one
-		// call at a time, no sequencing analysis, no pushing, no
-		// detection pool.
+		// call at a time, no sequencing analysis, no pushing.
 		e.opt.Layering, e.opt.Parallel, e.opt.Push = false, false, false
 		e.opt.Speculative = false
-		e.opt.Workers, e.opt.InvokeWorkers = 0, 0
+		e.opt.InvokeWorkers = 0
 	}
 	if e.opt.Speculative || e.opt.InvokeWorkers > 1 {
 		e.opt.Parallel = true
@@ -215,14 +214,14 @@ func (e *engine) runNaive() error {
 			calls = calls[:e.budgetLeft()]
 		}
 		if e.opt.Parallel {
-			if err := e.invokeBatch(calls, nil); err != nil {
+			if err := e.invoke(calls, make([]*rewrite.NFQ, len(calls)), e.opt.Planner); err != nil {
 				return err
 			}
-		} else {
-			for _, c := range calls {
-				if err := e.invokeOne(c, nil); err != nil {
-					return err
-				}
+			continue
+		}
+		for _, c := range calls {
+			if err := e.invoke([]*tree.Node{c}, []*rewrite.NFQ{nil}, nil); err != nil {
+				return err
 			}
 		}
 	}
@@ -429,20 +428,17 @@ func (e *engine) drainLayer(members []int, analysis *influence.Analysis, done ma
 			e.nfqs = map[*rewrite.NFQ]*nfqState{}
 			e.stats.AnalysisTime += time.Since(t0)
 		}
-		progressed := false
-		lpqBased := e.opt.Strategy == TopDownEager || e.opt.Strategy == LazyLPQ
 		if e.opt.Speculative {
 			// Gather every member NFQ's retrieved calls and fire them as
 			// one batch. Calls can be retrieved by several NFQs; the
 			// batch is deduplicated, and each call is pushed the
 			// subquery of the first NFQ that retrieved it.
-			sets := e.detectMany(members, queries)
 			seen := map[*tree.Node]bool{}
 			var batchCalls []*tree.Node
 			var batchNFQs []*rewrite.NFQ
-			for i, m := range members {
+			for mi, m := range members {
 				nfq := queries[m]
-				for _, c := range sets[i] {
+				for _, c := range e.relevantCalls(nfq, mi) {
 					if !seen[c] {
 						seen[c] = true
 						batchCalls = append(batchCalls, c)
@@ -469,29 +465,15 @@ func (e *engine) drainLayer(members []int, analysis *influence.Analysis, done ma
 				batchCalls = batchCalls[:b]
 				batchNFQs = batchNFQs[:b]
 			}
-			if err := e.invokeMixedBatch(batchCalls, batchNFQs); err != nil {
+			if err := e.invoke(batchCalls, batchNFQs, e.opt.Planner); err != nil {
 				return err
 			}
 			continue
 		}
-		// With a detection pool, every member's relevant set is computed
-		// up front in one parallel pass; the member loop then consumes
-		// the precomputed sets. The acted-on set is always the first
-		// non-empty one, and the loop re-detects after every invocation
-		// round, so the invoked sequence matches sequential detection
-		// exactly — only the work accounting differs (no early exit).
-		var sets [][]*tree.Node
-		if e.opt.Workers > 1 && len(members) > 1 {
-			sets = e.detectMany(members, queries)
-		}
+		progressed := false
 		for mi, m := range members {
 			nfq := queries[m]
-			var calls []*tree.Node
-			if sets != nil {
-				calls = sets[mi]
-			} else {
-				calls = e.relevantCalls(nfq, mi)
-			}
+			calls := e.relevantCalls(nfq, mi)
 			if len(calls) == 0 {
 				continue
 			}
@@ -499,27 +481,30 @@ func (e *engine) drainLayer(members []int, analysis *influence.Analysis, done ma
 			if len(calls) > e.budgetLeft() {
 				calls = calls[:e.budgetLeft()]
 			}
-			switch {
-			case e.opt.Parallel && (analysis == nil || analysis.Independent(m)):
-				if err := e.invokeBatch(calls, nfq); err != nil {
+			if e.opt.Parallel && (analysis == nil || analysis.Independent(m)) {
+				nfqs := make([]*rewrite.NFQ, len(calls))
+				for i := range nfqs {
+					nfqs[i] = nfq
+				}
+				if err := e.invoke(calls, nfqs, e.opt.Planner); err != nil {
 					return err
 				}
-			case lpqBased:
-				// Position relevance cannot be invalidated by another
-				// invocation (an LPQ has no conditions and the call
-				// stays at its position), so the whole retrieved set is
-				// invoked without re-evaluation — sequentially, each
-				// call charged in full.
-				for _, c := range calls {
-					if err := e.invokeOne(c, nfq); err != nil {
-						return err
-					}
-				}
-			default:
+				break
+			}
+			if e.opt.Strategy != TopDownEager && e.opt.Strategy != LazyLPQ {
 				// Invoke a single call, then re-evaluate the layer's
 				// queries: its result may have changed every NFQ's
-				// relevant set (Section 4.1).
-				if err := e.invokeOne(calls[0], nfq); err != nil {
+				// relevant set (Section 4.1). LPQ position relevance
+				// cannot be invalidated by another invocation (an LPQ has
+				// no conditions and the call stays at its position), so
+				// its whole retrieved set is invoked without
+				// re-evaluation.
+				calls = calls[:1]
+			}
+			// Sequential invocation: each call is a one-call batch,
+			// charged in full, with no planner.
+			for _, c := range calls {
+				if err := e.invoke([]*tree.Node{c}, []*rewrite.NFQ{nfq}, nil); err != nil {
 					return err
 				}
 			}
@@ -604,26 +589,6 @@ func (e *engine) sortedNames() []string {
 	return out
 }
 
-// detectDelta is one relevance detection's contribution to the shared
-// counters. Detections return it by value so a parallel pool's workers
-// never touch engine state; the coordinator merges.
-type detectDelta struct {
-	queried         bool // a relevance query actually ran (trace + counter)
-	pattern.Stats        // direct evaluation work
-	guideCandidates int
-}
-
-// mergeDetect folds one detection's accounting into the engine stats.
-func (e *engine) mergeDetect(d detectDelta) {
-	if d.queried {
-		e.stats.RelevanceQueries++
-	}
-	e.stats.NodesVisited += d.NodesVisited
-	e.stats.MemoHits += d.MemoHits
-	e.stats.SubtreesPruned += d.SubtreesPruned
-	e.stats.GuideCandidates += d.guideCandidates
-}
-
 // nfqState is one live relevance query's detection state: a residual
 // matcher for guided detection (Section 6.2); for direct detection the
 // projection predicate and, with Options.Incremental, an evaluator shard.
@@ -635,13 +600,8 @@ type nfqState struct {
 }
 
 // state returns (creating on demand) one relevance query's detection
-// state, nil for a nil query. Only the coordinating goroutine may call
-// it — it writes e.nfqs; pool workers rely on detectMany resolving every
-// state they will read.
+// state.
 func (e *engine) state(nfq *rewrite.NFQ) *nfqState {
-	if nfq == nil {
-		return nil
-	}
 	if st := e.nfqs[nfq]; st != nil {
 		return st
 	}
@@ -718,28 +678,25 @@ func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
 	}
 }
 
-// detect retrieves the calls currently relevant for one NFQ: by direct
-// evaluation on the document (incremental when the NFQ has a persistent
-// evaluator shard), or via the F-guide followed by type-based and
-// residual filtering (Section 6.2). Type pruning on the output side
-// (Section 5) applies in both paths. It writes only st's memo tables, so
-// distinct NFQs may be detected concurrently.
-func (e *engine) detect(nfq *rewrite.NFQ, st *nfqState) ([]*tree.Node, detectDelta) {
-	var d detectDelta
-	if nfq == nil {
-		return nil, d
-	}
+// relevantCalls retrieves the calls currently relevant for one NFQ: by
+// direct evaluation on the document (incremental when the NFQ has a
+// persistent evaluator shard), or via the F-guide followed by type-based
+// and residual filtering (Section 6.2). Type pruning on the output side
+// (Section 5) applies in both paths. It charges detection time, counts
+// the work into the engine stats and emits the detect span; shard is the
+// member's slot in the current layer.
+func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
+	st := e.state(nfq) // projection building is analysis, not detection
+	t0 := time.Now()
 	var calls []*tree.Node
+	queried := true
 	if e.guide != nil {
 		cands := e.guide.Candidates(nfq.Lin, nfq.DescTail)
-		d.guideCandidates = len(cands)
-		if len(cands) == 0 {
-			return nil, d
-		}
+		e.stats.GuideCandidates += len(cands)
+		queried = len(cands) > 0
 		// Candidates share the query's residual matcher, so condition
 		// checks are memoised across candidates and rounds, and each only
 		// explores the candidate's own ancestors' subtrees (Section 6.2).
-		d.queried = true
 		for _, c := range cands {
 			if e.failed[c] || !nfq.SatisfiesOut(e.an, c.Label) {
 				continue
@@ -748,34 +705,27 @@ func (e *engine) detect(nfq *rewrite.NFQ, st *nfqState) ([]*tree.Node, detectDel
 				calls = append(calls, c)
 			}
 		}
-		return calls, d
-	}
-	var got []*tree.Node
-	if st.iev != nil {
-		got, d.Stats = st.iev.MatchedCallsIncremental(e.doc, nfq.Out)
 	} else {
-		got, d.Stats = pattern.MatchedCallsProjected(e.doc, nfq.Query, nfq.Out, st.proj)
-	}
-	d.queried = true
-	for _, c := range got {
-		if !e.failed[c] && nfq.SatisfiesOut(e.an, c.Label) {
-			calls = append(calls, c)
+		var got []*tree.Node
+		var ps pattern.Stats
+		if st.iev != nil {
+			got, ps = st.iev.MatchedCallsIncremental(e.doc, nfq.Out)
+		} else {
+			got, ps = pattern.MatchedCallsProjected(e.doc, nfq.Query, nfq.Out, st.proj)
+		}
+		e.stats.NodesVisited += ps.NodesVisited
+		e.stats.MemoHits += ps.MemoHits
+		e.stats.SubtreesPruned += ps.SubtreesPruned
+		for _, c := range got {
+			if !e.failed[c] && nfq.SatisfiesOut(e.an, c.Label) {
+				calls = append(calls, c)
+			}
 		}
 	}
-	return calls, d
-}
-
-// relevantCalls is the sequential entry point around detect: it charges
-// detection time, merges the counters and emits the telemetry span.
-// shard is the member's slot in the current layer.
-func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
-	st := e.state(nfq) // projection building is analysis, not detection
-	t0 := time.Now()
-	calls, d := e.detect(nfq, st)
 	elapsed := time.Since(t0)
 	e.stats.DetectTime += elapsed
-	e.mergeDetect(d)
-	if d.queried {
+	if queried {
+		e.stats.RelevanceQueries++
 		e.met.detectSecs.Observe(elapsed)
 		e.emitDetectSpan(nfq, shard, t0, elapsed, len(calls))
 	}
@@ -799,73 +749,6 @@ func (e *engine) emitDetectSpan(nfq *rewrite.NFQ, shard int, start time.Time, wa
 			{Key: "calls", Value: strconv.Itoa(calls)},
 		},
 	})
-}
-
-// detectMany evaluates the members' relevance queries for the current
-// round, sharded over a bounded worker pool when Options.Workers allows
-// (each member query owns its evaluator shard, so workers share only the
-// read-only document). Stats deltas are merged and spans emitted by the
-// coordinator, in member order, after the pool drains — the parallel
-// rounds stay race-clean and deterministic. Detection time is
-// charged as wall time: the pool's speedup is the observable quantity.
-func (e *engine) detectMany(members []int, queries []*rewrite.NFQ) [][]*tree.Node {
-	calls := make([][]*tree.Node, len(members))
-	deltas := make([]detectDelta, len(members))
-	// Resolve every shard's state on the coordinator before the pool
-	// starts: e.nfqs is a map only the coordinator may write. Predicate
-	// construction is analysis work, kept outside the detection window.
-	states := make([]*nfqState, len(members))
-	for i, m := range members {
-		states[i] = e.state(queries[m])
-	}
-	t0 := time.Now()
-	workers := e.opt.Workers
-	if workers > len(members) {
-		workers = len(members)
-	}
-	// Each shard measures its own wall time in the worker (every worker
-	// writes only its own slots); the coordinator merges counters and
-	// emits spans after the pool drains, so the stream comes out
-	// ordered by (layer, round, shard) no matter how the workers
-	// interleaved.
-	starts := make([]time.Time, len(members))
-	walls := make([]time.Duration, len(members))
-	runShard := func(i int) {
-		starts[i] = time.Now()
-		calls[i], deltas[i] = e.detect(queries[members[i]], states[i])
-		walls[i] = time.Since(starts[i])
-	}
-	if workers <= 1 {
-		for i := range members {
-			runShard(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runShard(i)
-				}
-			}()
-		}
-		for i := range members {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	e.stats.DetectTime += time.Since(t0)
-	for i, d := range deltas {
-		e.mergeDetect(d)
-		if d.queried {
-			e.met.detectSecs.Observe(walls[i])
-			e.emitDetectSpan(queries[members[i]], i, starts[i], walls[i], len(calls[i]))
-		}
-	}
-	return calls
 }
 
 // pushedQuery returns the subquery to ship with a call retrieved for nfq,
@@ -1103,155 +986,102 @@ func (e *engine) emitPlanSpan(bp BatchPlan, batch, width int, start time.Time, w
 	})
 }
 
-// invokeOne invokes a single call (retries included) and charges its full
-// cost sequentially.
-func (e *engine) invokeOne(call *tree.Node, nfq *rewrite.NFQ) error {
-	path := tracePath(call)
-	pushed := e.pushFor(nfq, call.Label)
-	start := time.Now()
-	resp, meta := e.invokeAttempts(call, pushed)
-	wall := time.Since(start)
-	e.chargeMeta(meta)
-	e.opt.Clock.Advance(meta.cost)
-	e.stats.Rounds++
-	wasPushed := meta.err == nil && pushed != nil && resp.Pushed
-	e.emitInvokeSpan(call, nfq, path, 0, start, wall, meta, wasPushed, resp.RemoteTrace)
-	if meta.err != nil {
-		return e.giveUp(call, path, meta)
-	}
-	e.apply(call, resp, wasPushed)
-	return nil
-}
-
-// invokeBatch invokes the calls in parallel and charges the batch's
-// maximum latency (Section 4.4). Service handlers run concurrently; the
-// document mutations are applied sequentially afterwards.
-func (e *engine) invokeBatch(calls []*tree.Node, nfq *rewrite.NFQ) error {
-	nfqs := make([]*rewrite.NFQ, len(calls))
-	for i := range nfqs {
-		nfqs[i] = nfq
-	}
-	return e.invokeMixedBatch(calls, nfqs)
-}
-
-// invokeMixedBatch is invokeBatch with a per-call originating NFQ, so a
-// speculative batch can push each call the subquery it was retrieved for.
-// Every member runs its own retry loop concurrently and the batch is
-// charged its slowest member's full cost, retries and backoffs included
-// (Section 4.4). All completed members are applied before any failure is
-// reported, so a mid-batch error never drops (or forgets to charge)
-// responses that already arrived.
-func (e *engine) invokeMixedBatch(calls []*tree.Node, nfqs []*rewrite.NFQ) error {
-	type result struct {
+// invoke runs one invocation round: the calls fire as one batch, each
+// pushed the subquery of the NFQ that retrieved it (nfqs[i]; nil for
+// none), and the round is charged its slowest member's full cost,
+// retries and backoffs included (Section 4.4). A sequential invocation is
+// a one-call batch with a nil planner.
+//
+// Members run on the invocation pool in striped queues — member i on
+// worker i mod W, W being InvokeWorkers capped at the batch size, or one
+// worker per member when InvokeWorkers <= 0 — so the member→worker
+// assignment stamped onto each invoke span is deterministic. pl, when set, may
+// replace the queues: regroup members across workers and shrink the
+// pool, nothing more; a plan that is not an exact permutation of the
+// batch within the width bound is discarded in favour of the striped
+// queues. A single queue runs inline on the calling goroutine, several
+// run one goroutine each, and every worker writes only its members'
+// slots. Responses are applied in member order after the pool drains, so
+// results, Stats, spans and virtual-clock charges are identical for every
+// pool width and plan. All completed members are applied before any
+// failure is reported, so a mid-batch error never drops (or forgets to
+// charge) responses that already arrived.
+func (e *engine) invoke(calls []*tree.Node, nfqs []*rewrite.NFQ, pl InvocationPlanner) error {
+	// member is one call's slot: push and path are set before the pool
+	// starts, the rest by the worker that runs the call.
+	type member struct {
+		push   *pattern.Pattern
+		path   string
+		worker int
 		resp   service.Response
 		meta   callMeta
-		pushed bool
 		start  time.Time
 		wall   time.Duration
 	}
-	results := make([]result, len(calls))
-	pushes := make([]*pattern.Pattern, len(calls))
-	paths := make([]string, len(calls))
+	ms := make([]member, len(calls))
 	for i, c := range calls {
-		pushes[i] = e.pushFor(nfqs[i], c.Label)
-		paths[i] = tracePath(c)
+		ms[i].push = e.pushFor(nfqs[i], c.Label)
+		ms[i].path = tracePath(c)
 	}
-	// Bounded invocation pool: member i runs on worker i mod W, so the
-	// member→worker assignment — and the Worker stamped onto each invoke
-	// span — is deterministic for a given batch regardless of goroutine
-	// scheduling. Each worker walks its own stripe sequentially and writes
-	// only its members' slots; the coordinator below applies responses in
-	// member (document) order after the pool drains, so results, traces
-	// and virtual-clock stats are identical for every pool width. W <= 0
-	// keeps the historical one-goroutine-per-member behaviour; W == 1
-	// degenerates to a sequential walk on the calling goroutine.
-	workers := e.opt.InvokeWorkers
-	if workers <= 0 || workers > len(calls) {
-		workers = len(calls)
+	width := e.opt.InvokeWorkers
+	if width <= 0 || width > len(calls) {
+		width = len(calls)
 	}
-	// workerOf[i] is the pool worker member i runs on: the static
-	// striped assignment unless an accepted plan overrides it below.
-	workerOf := make([]int, len(calls))
+	queues := make([][]int, width)
 	for i := range calls {
-		workerOf[i] = i % workers
+		queues[i%width] = append(queues[i%width], i)
 	}
-	// A planner may regroup members across workers and shrink the pool,
-	// nothing more: responses are still applied in member order after
-	// the pool drains and the batch is still charged its slowest
-	// member, so an accepted plan changes wall-clock shape only. A plan
-	// that is not an exact permutation of the batch within the width
-	// bound is discarded in favour of the striped schedule.
-	var queues [][]int
-	if pl := e.opt.Planner; pl != nil {
+	if pl != nil {
+		pcs := make([]PlanCall, len(calls))
+		for i, c := range calls {
+			pcs[i] = PlanCall{Index: i, Service: c.Label, Push: ms[i].push != nil}
+		}
 		planStart := time.Now()
-		bp := pl.PlanBatch(planCalls(calls, pushes), workers)
+		bp := pl.PlanBatch(pcs, width)
 		planWall := time.Since(planStart)
-		if bp.Width >= 1 && bp.Width <= workers && len(bp.Queues) == bp.Width && validQueues(bp.Queues, len(calls)) {
-			workers = bp.Width
+		if bp.Width >= 1 && bp.Width <= width && len(bp.Queues) == bp.Width && validQueues(bp.Queues, len(calls)) {
 			queues = bp.Queues
-			for w, q := range queues {
-				for _, i := range q {
-					workerOf[i] = w
-				}
-			}
 		}
-		e.emitPlanSpan(bp, len(calls), workers, planStart, planWall)
+		e.emitPlanSpan(bp, len(calls), len(queues), planStart, planWall)
 	}
-	runMember := func(i int) {
-		start := time.Now()
-		resp, meta := e.invokeAttempts(calls[i], pushes[i])
-		results[i] = result{resp, meta, pushes[i] != nil && resp.Pushed, start, time.Since(start)}
+	runQueue := func(w int, q []int) {
+		for _, i := range q {
+			m := &ms[i]
+			m.worker, m.start = w, time.Now()
+			m.resp, m.meta = e.invokeAttempts(calls[i], m.push)
+			m.wall = time.Since(m.start)
+		}
 	}
-	switch {
-	case queues != nil && workers > 1:
+	if len(queues) == 1 {
+		runQueue(0, queues[0])
+	} else {
 		var wg sync.WaitGroup
-		for _, q := range queues {
+		for w, q := range queues {
 			wg.Add(1)
-			go func(q []int) {
+			go func(w int, q []int) {
 				defer wg.Done()
-				for _, i := range q {
-					runMember(i)
-				}
-			}(q)
-		}
-		wg.Wait()
-	case queues != nil:
-		for _, i := range queues[0] {
-			runMember(i)
-		}
-	case workers == 1:
-		for i := range calls {
-			runMember(i)
-		}
-	default:
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(calls); i += workers {
-					runMember(i)
-				}
-			}(w)
+				runQueue(w, q)
+			}(w, q)
 		}
 		wg.Wait()
 	}
 	var maxCost time.Duration
 	var firstErr error
 	for i, c := range calls {
-		r := results[i]
-		e.chargeMeta(r.meta)
-		if r.meta.cost > maxCost {
-			maxCost = r.meta.cost
+		m := &ms[i]
+		e.chargeMeta(m.meta)
+		if m.meta.cost > maxCost {
+			maxCost = m.meta.cost
 		}
-		e.emitInvokeSpan(c, nfqs[i], paths[i], workerOf[i], r.start, r.wall, r.meta, r.meta.err == nil && r.pushed, r.resp.RemoteTrace)
-		if r.meta.err != nil {
-			if err := e.giveUp(c, paths[i], r.meta); err != nil && firstErr == nil {
+		pushed := m.meta.err == nil && m.push != nil && m.resp.Pushed
+		e.emitInvokeSpan(c, nfqs[i], m.path, m.worker, m.start, m.wall, m.meta, pushed, m.resp.RemoteTrace)
+		if m.meta.err != nil {
+			if err := e.giveUp(c, m.path, m.meta); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		e.apply(c, r.resp, r.pushed)
+		e.apply(c, m.resp, pushed)
 	}
 	e.opt.Clock.Advance(maxCost)
 	e.stats.Rounds++

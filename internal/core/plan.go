@@ -1,10 +1,6 @@
 package core
 
-import (
-	"github.com/activexml/axml/internal/pattern"
-	"github.com/activexml/axml/internal/telemetry"
-	"github.com/activexml/axml/internal/tree"
-)
+import "github.com/activexml/axml/internal/telemetry"
 
 // PlanCall describes one member of an invocation batch to the planner:
 // its position in the batch (member order is document order within a
@@ -58,15 +54,6 @@ type InvocationPlanner interface {
 	// or invalid selection admits the whole batch; implementations must
 	// always admit at least one call so deferral cannot livelock.
 	AdmitSpeculative(calls []PlanCall) []int
-}
-
-// planCalls builds the planner's view of a batch.
-func planCalls(calls []*tree.Node, pushes []*pattern.Pattern) []PlanCall {
-	out := make([]PlanCall, len(calls))
-	for i, c := range calls {
-		out[i] = PlanCall{Index: i, Service: c.Label, Push: pushes[i] != nil}
-	}
-	return out
 }
 
 // validQueues reports whether a plan's queues are a permutation of the

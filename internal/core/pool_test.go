@@ -203,9 +203,9 @@ func TestInvokePoolRaceFaultsCacheRetries(t *testing.T) {
 			defer wg.Done()
 			out, err := Evaluate(w.Doc.Clone(), w.Query, reg, Options{
 				Strategy: LazyNFQ, Layering: true, Incremental: true,
-				Workers: 4, InvokeWorkers: 8,
-				Retry:   RetryPolicy{MaxAttempts: 25, Backoff: time.Millisecond, Jitter: 0.5, Seed: int64(g)},
-				Failure: BestEffort,
+				InvokeWorkers: 8,
+				Retry:         RetryPolicy{MaxAttempts: 25, Backoff: time.Millisecond, Jitter: 0.5, Seed: int64(g)},
+				Failure:       BestEffort,
 			})
 			switch {
 			case err != nil:

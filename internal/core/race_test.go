@@ -134,12 +134,11 @@ func TestBatchesAgainstMutatingRegistry(t *testing.T) {
 	mutator.Wait()
 }
 
-// TestParallelDetectionSharedCacheRace drives the intra-round detection
-// pool (Workers) with persistent evaluator shards (Incremental) from many
-// concurrent evaluations that all share one response cache — the layering
-// cmd/axmlquery wires up. Under -race this covers the coordinator/worker
-// hand-off, the per-NFQ evaluator shards and the cache's singleflight at
-// once.
+// TestParallelDetectionSharedCacheRace drives detection with persistent
+// evaluator shards (Incremental) from many concurrent evaluations that
+// all share one response cache — the layering cmd/axmlquery wires up.
+// Under -race this covers the per-evaluation NFQ evaluator shards and
+// the cache's singleflight at once.
 func TestParallelDetectionSharedCacheRace(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	baseline, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, Options{Strategy: NaiveFixpoint})
@@ -159,7 +158,7 @@ func TestParallelDetectionSharedCacheRace(t *testing.T) {
 			defer wg.Done()
 			out, err := Evaluate(w.Doc.Clone(), w.Query, cached, Options{
 				Strategy: LazyNFQ, Layering: g%2 == 0,
-				Incremental: true, Workers: 8,
+				Incremental: true,
 			})
 			switch {
 			case err != nil:

@@ -272,7 +272,7 @@ func TestRetryAndGiveUpTraces(t *testing.T) {
 }
 
 // TestBatchFailureKeepsCompletedResponses is the regression test for the
-// invokeMixedBatch early-return leak: a mid-batch failure used to drop
+// batch executor's early-return leak: a mid-batch failure used to drop
 // the already-completed members' responses without applying or charging
 // them. Under best effort every successful member must land in the
 // document; under fail-fast they must land before the error returns.

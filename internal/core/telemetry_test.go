@@ -10,9 +10,9 @@ import (
 	"github.com/activexml/axml/internal/workload"
 )
 
-// TestParallelTraceDeterminism: under a parallel detection pool the
-// coordinator must emit spans merged deterministically by (layer,
-// round, shard) — two identical runs see identical streams.
+// TestParallelTraceDeterminism: with layered parallel invocation the
+// engine must emit spans deterministically, ordered by (layer, round,
+// shard) — two identical runs see identical streams.
 func TestParallelTraceDeterminism(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.Hotels = 8
@@ -20,7 +20,7 @@ func TestParallelTraceDeterminism(t *testing.T) {
 	run := func() *telemetry.Tracer {
 		w := workload.Hotels(spec)
 		tr := telemetry.NewTracer(0)
-		opt := Options{Strategy: LazyNFQ, Layering: true, Parallel: true, Workers: 4, Tracer: tr}
+		opt := Options{Strategy: LazyNFQ, Layering: true, Parallel: true, Tracer: tr}
 		if _, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt); err != nil {
 			t.Fatal(err)
 		}
@@ -145,9 +145,10 @@ func TestEngineSpans(t *testing.T) {
 	}
 }
 
-// TestEngineSpansParallelShards: under Workers > 1 the detect spans carry
-// shard identities and still appear merged in deterministic order.
-func TestEngineSpansParallelShards(t *testing.T) {
+// TestEngineSpansMemberShards: detect spans carry the detected query's
+// member slot within its layer as their shard, and the (round, shard)
+// stream is deterministic across runs.
+func TestEngineSpansMemberShards(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.Hotels = 8
 	spec.HiddenHotels = 2
@@ -155,7 +156,7 @@ func TestEngineSpansParallelShards(t *testing.T) {
 		w := workload.Hotels(spec)
 		tr := telemetry.NewTracer(0)
 		if _, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, Options{
-			Strategy: LazyNFQ, Layering: true, Parallel: true, Workers: 4, Tracer: tr,
+			Strategy: LazyNFQ, Layering: true, Parallel: true, Tracer: tr,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -33,9 +33,9 @@ type Span struct {
 	// Name is the span kind, e.g. "evaluate", "layer", "detect",
 	// "invoke".
 	Name string
-	// Shard identifies which detection shard produced the span when the
-	// engine runs a parallel detection pool (Options.Workers); 0
-	// otherwise.
+	// Shard is a detect span's member slot: the position of the detected
+	// relevance query among its layer's members (rendered detect#n); 0
+	// for other spans.
 	Shard int
 	// Worker identifies which invocation-pool worker ran the span when
 	// the engine invokes a batch on a bounded pool
@@ -330,14 +330,6 @@ func (a *ActiveSpan) SetInt(key string, v int64) {
 		return
 	}
 	a.SetAttr(key, strconv.FormatInt(v, 10))
-}
-
-// SetShard stamps the detection shard identity.
-func (a *ActiveSpan) SetShard(shard int) {
-	if a == nil {
-		return
-	}
-	a.s.Shard = shard
 }
 
 // AddVirtual charges simulated time to the span.

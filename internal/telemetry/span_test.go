@@ -14,7 +14,6 @@ func TestTracerBasics(t *testing.T) {
 	root.SetAttr("strategy", "lazy-nfq")
 	child := tr.Start("detect", root.ID())
 	child.SetInt("calls", 3)
-	child.SetShard(2)
 	child.AddVirtual(10 * time.Millisecond)
 	child.End()
 	child.End() // idempotent
@@ -29,7 +28,7 @@ func TestTracerBasics(t *testing.T) {
 		t.Fatalf("order: %s, %s", spans[0].Name, spans[1].Name)
 	}
 	d := spans[0]
-	if d.Parent != spans[1].ID || d.Shard != 2 || d.Virtual != 10*time.Millisecond {
+	if d.Parent != spans[1].ID || d.Virtual != 10*time.Millisecond {
 		t.Fatalf("child span wrong: %+v", d)
 	}
 	if d.Attr("calls") != "3" || d.Attr("missing") != "" {
@@ -45,7 +44,6 @@ func TestNilTracerSafety(t *testing.T) {
 	s := tr.Start("x", 0)
 	s.SetAttr("k", "v")
 	s.SetInt("n", 1)
-	s.SetShard(1)
 	s.AddVirtual(time.Second)
 	s.End()
 	if s != nil {
