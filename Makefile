@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz bench telemetry profile loadsmoke perfcheck microbench
+.PHONY: check build vet test race fuzz bench profile loadsmoke perfcheck microbench
 
-check: vet build telemetry race fuzz loadsmoke perfcheck
+check: vet build race fuzz loadsmoke perfcheck
 
 build:
 	$(GO) build ./...
@@ -72,13 +72,6 @@ microbench:
 # target an engine API change could break the benchmark build unnoticed.
 perfcheck:
 	cd axmlperf && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
-
-# telemetry gates the observability layer on its own: vet plus the
-# race-detected tests of the tracer/metrics package and the two packages
-# that feed it from concurrent code paths.
-telemetry:
-	$(GO) vet ./internal/telemetry/ ./internal/core/ ./internal/soap/
-	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/core/ ./internal/soap/
 
 # profile captures CPU and heap profiles of the E10 incremental sweep
 # together with its span trace and result table. Inspect with

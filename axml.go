@@ -279,17 +279,12 @@ func NewHTTPServer(reg *Registry, sleepLatency bool) *HTTPServer {
 // RecursivePush wraps every service of reg so pushed queries are honoured
 // even by services whose results embed further calls: the provider
 // materialises its own result first (the ActiveXML peer deployment of the
-// paper's Section 7). maxCalls bounds the provider-side materialisation.
-func RecursivePush(reg *Registry, maxCalls int) *Registry {
-	return soap.RecursivePush(reg, maxCalls)
-}
-
-// RecursivePushWorkers is RecursivePush with the provider-side
-// materialisation invoking up to workers embedded calls concurrently per
-// fixpoint round; the materialised forest is identical for every pool
-// width (`axmlserver -invoke-workers`).
-func RecursivePushWorkers(reg *Registry, maxCalls, workers int) *Registry {
-	return soap.RecursivePushWorkers(reg, maxCalls, workers)
+// paper's Section 7). maxCalls bounds the provider-side materialisation,
+// which invokes up to workers embedded calls concurrently per fixpoint
+// round (values below 2 mean sequential); the materialised forest is
+// identical for every pool width (`axmlserver -invoke-workers`).
+func RecursivePush(reg *Registry, maxCalls, workers int) *Registry {
+	return soap.RecursivePush(reg, maxCalls, workers)
 }
 
 // Activation policies (see internal/activation).

@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 	w := workload.Hotels(spec)
 	reg := w.Registry
 	if *recursive {
-		reg = soap.RecursivePushWorkers(reg, 1_000_000, *invokeWork)
+		reg = soap.RecursivePush(reg, 1_000_000, *invokeWork)
 	}
 	metrics := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)

@@ -26,7 +26,9 @@ const FileName = "profiles.json"
 // nodes, push outcome, fault class) and then delegated. Place the
 // wrapper *under* the response cache — cache.Wrap(p.Wrap(base)) — so
 // the profile reflects real provider behaviour, not cache replays; wire
-// the cache's own outcomes in with Notify.
+// the cache's own outcomes in with Notify. A pushed query passes
+// through even to a service that cannot push, so the profile records
+// the ignored push attempt the planner's push veto learns from.
 //
 // Effective latency is the larger of the wall-clock spent in the
 // provider and the response's declared virtual latency, so profiles are
@@ -37,32 +39,24 @@ func (p *Profiler) Wrap(reg *service.Registry) *service.Registry {
 	if p == nil {
 		return reg
 	}
-	out := service.NewRegistry()
-	for _, name := range reg.Names() {
-		inner := reg.Lookup(name)
-		name := name
-		out.Register(&service.Service{
-			Name:    name,
-			Latency: inner.Latency,
-			CanPush: inner.CanPush,
-			RemoteCtx: func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
-				start := time.Now()
-				resp, err := reg.InvokeContext(ctx, name, params, pushed)
-				lat := time.Since(start)
-				if resp.Latency > lat {
-					lat = resp.Latency
-				}
-				class := ""
-				if err != nil {
-					class = service.ClassOf(err).String()
-				}
-				p.Observe(name, lat, resp.Bytes, countNodes(resp.Forest),
-					err == nil && pushed != nil, err == nil && resp.Pushed, class)
-				return resp, err
-			},
-		})
-	}
-	return out
+	return reg.Wrap(func(svc *service.Service, next service.Invoker) service.Invoker {
+		name := svc.Name
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+			start := time.Now()
+			resp, err := next(ctx, params, pushed)
+			lat := time.Since(start)
+			if resp.Latency > lat {
+				lat = resp.Latency
+			}
+			class := ""
+			if err != nil {
+				class = service.ClassOf(err).String()
+			}
+			p.Observe(name, lat, resp.Bytes, countNodes(resp.Forest),
+				err == nil && pushed != nil, err == nil && resp.Pushed, class)
+			return resp, err
+		}
+	})
 }
 
 // Notify returns the service.Cache.Notify hook feeding cache outcomes

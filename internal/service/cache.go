@@ -192,25 +192,18 @@ func (c *Cache) Len() int {
 // Wrap returns a registry proxying reg through the cache. The wrapped
 // services advertise the same latency and push capability; their
 // invocations consult the cache first and delegate to reg on a miss.
+// A pushed query for a service that cannot push is dropped before the
+// lookup, so it neither splits the key nor reaches the provider.
 func (c *Cache) Wrap(reg *Registry) *Registry {
-	out := NewRegistry()
-	for _, name := range reg.Names() {
-		inner := reg.Lookup(name)
-		name := name
-		canPush := inner.CanPush
-		out.Register(&Service{
-			Name:    name,
-			Latency: inner.Latency,
-			CanPush: canPush,
-			RemoteCtx: func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
-				if !canPush {
-					pushed = nil
-				}
-				return c.invoke(ctx, reg, name, params, pushed)
-			},
-		})
-	}
-	return out
+	return reg.Wrap(func(svc *Service, next Invoker) Invoker {
+		name, canPush := svc.Name, svc.CanPush
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
+			if !canPush {
+				pushed = nil
+			}
+			return c.invoke(ctx, next, name, params, pushed)
+		}
+	})
 }
 
 // Key renders the canonical cache identity of an invocation: the service
@@ -251,10 +244,10 @@ func (c *Cache) now() time.Time {
 	return time.Now()
 }
 
-func (c *Cache) invoke(ctx context.Context, reg *Registry, name string, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
+func (c *Cache) invoke(ctx context.Context, next Invoker, name string, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
 	key, ok := Key(name, params, pushed)
 	if !ok {
-		return reg.InvokeContext(ctx, name, params, pushed)
+		return next(ctx, params, pushed)
 	}
 	// Each invocation lands in exactly one of Hits, Coalesced or Misses:
 	// a waiter that loops back to read the stored entry is already
@@ -312,7 +305,7 @@ func (c *Cache) invoke(ctx context.Context, reg *Registry, name string, params [
 		c.inflight[key] = f
 		c.mu.Unlock()
 
-		resp, err := reg.InvokeContext(ctx, name, params, pushed)
+		resp, err := next(ctx, params, pushed)
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if err == nil {

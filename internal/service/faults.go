@@ -112,49 +112,39 @@ func (f *Faults) Reset() {
 // Wrap returns a new registry proxying reg through the injector. The
 // wrapped services advertise the same latency and push capability; their
 // invocations consult the injector first and delegate to reg on success.
-// Several registries may share one injector (one fault stream).
+// A pushed query for a service that cannot push is dropped. Several
+// registries may share one injector (one fault stream).
 func (f *Faults) Wrap(reg *Registry) *Registry {
-	out := NewRegistry()
-	for _, name := range reg.Names() {
-		inner := reg.Lookup(name)
-		name := name
-		canPush := inner.CanPush
-		out.Register(&Service{
-			Name:    name,
-			Latency: inner.Latency,
-			CanPush: canPush,
-			RemoteCtx: func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
-				if !canPush {
-					pushed = nil
+	return reg.Wrap(func(svc *Service, next Invoker) Invoker {
+		name, latency, canPush := svc.Name, svc.Latency, svc.CanPush
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
+			if !canPush {
+				pushed = nil
+			}
+			n, targeted := f.next(name)
+			rng := faultRand(f.spec.Seed, name, n)
+			if targeted {
+				if fault := f.decide(name, latency, n, &rng); fault != nil {
+					// The injected fault starts here, so it carries the
+					// service prefix once, as a handler error does.
+					f.count(fault.Class)
+					return Response{}, fmt.Errorf("service %s: %w", name, fault)
 				}
-				return f.invoke(ctx, reg, name, inner.Latency, params, pushed)
-			},
-		})
-	}
-	return out
-}
-
-func (f *Faults) invoke(ctx context.Context, reg *Registry, name string, latency time.Duration, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
-	n, targeted := f.next(name)
-	rng := faultRand(f.spec.Seed, name, n)
-	if targeted {
-		if fault := f.decide(name, latency, n, &rng); fault != nil {
-			f.count(fault.Class)
-			return Response{}, fault
+			}
+			resp, err := next(ctx, params, pushed)
+			if err != nil {
+				return Response{}, err
+			}
+			if targeted && f.spec.LatencyJitter > 0 {
+				d := resp.Latency + time.Duration(rng.float()*2*float64(f.spec.LatencyJitter)) - f.spec.LatencyJitter
+				if d < 0 {
+					d = 0
+				}
+				resp.Latency = d
+			}
+			return resp, nil
 		}
-	}
-	resp, err := reg.InvokeContext(ctx, name, params, pushed)
-	if err != nil {
-		return Response{}, err
-	}
-	if targeted && f.spec.LatencyJitter > 0 {
-		d := resp.Latency + time.Duration(rng.float()*2*float64(f.spec.LatencyJitter)) - f.spec.LatencyJitter
-		if d < 0 {
-			d = 0
-		}
-		resp.Latency = d
-	}
-	return resp, nil
+	})
 }
 
 // decide draws the fault (or nil) for the n-th invocation of a service.

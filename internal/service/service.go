@@ -93,6 +93,10 @@ func ClockNow(c Clock) func() time.Time {
 // handler and may be inspected freely but not attached anywhere.
 type Handler func(params []*tree.Node) ([]*tree.Node, error)
 
+// Invoker invokes one service: the signature of Service.Remote and of
+// the inner service a Registry.Wrap layer delegates to.
+type Invoker func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error)
+
 // Service is one registered Web service.
 type Service struct {
 	// Name is the service (function) name used in axml:call elements.
@@ -115,16 +119,14 @@ type Service struct {
 	Handler Handler
 	// Remote, when set, replaces the local invocation path entirely:
 	// parameters and the pushed query travel to a remote provider (e.g.
-	// over the soap package's HTTP envelope) and the response comes back
-	// as-is, including transfer size and the provider's push decision.
-	// Handler is ignored when Remote is set.
-	Remote func(params []*tree.Node, pushed *pattern.Pattern) (Response, error)
-	// RemoteCtx is Remote with a context: the context carries the
-	// cross-process trace state (telemetry.TraceContext) and
-	// cancellation. Wrappers that thread contexts (cache, faults,
-	// session limits, the soap proxy) set RemoteCtx; it wins over Remote
-	// when both are set.
-	RemoteCtx func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error)
+	// over the soap package's HTTP envelope) or through a wrapper layer
+	// (see Registry.Wrap), and the response comes back as-is, including
+	// transfer size and the provider's push decision. The context
+	// carries the cross-process trace state (telemetry.TraceContext) and
+	// cancellation. Handler is ignored when Remote is set. Its errors
+	// are returned unchanged: a hook whose errors start at the service
+	// (a transport, say) names the service itself.
+	Remote Invoker
 }
 
 // Response is the outcome of one invocation.
@@ -174,7 +176,7 @@ func NewRegistry() *Registry {
 // Register adds a service; it panics on duplicates or a service with
 // neither Handler nor Remote, which are programming errors.
 func (r *Registry) Register(s *Service) {
-	if s.Handler == nil && s.Remote == nil && s.RemoteCtx == nil {
+	if s.Handler == nil && s.Remote == nil {
 		panic("service: Register with neither Handler nor Remote")
 	}
 	r.mu.Lock()
@@ -232,47 +234,37 @@ func (r *Registry) Invoke(name string, params []*tree.Node, pushed *pattern.Patt
 // InvokeContext is Invoke with a caller-supplied context. The context
 // carries the cross-process trace state (telemetry.WithTrace) down
 // through wrapper registries to the transport; local Handler services
-// ignore it.
+// ignore it. A Handler error is prefixed with the service name here,
+// where it starts; a Remote hook's error passes through unchanged, so
+// a stack of wrapper layers names a failing service once.
 func (r *Registry) InvokeContext(ctx context.Context, name string, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
 	svc := r.Lookup(name)
 	if svc == nil {
 		return Response{}, fmt.Errorf("service: unknown service %q", name)
 	}
-	if svc.Remote != nil || svc.RemoteCtx != nil {
-		var resp Response
+	var resp Response
+	if svc.Remote != nil {
 		var err error
-		if svc.RemoteCtx != nil {
-			resp, err = svc.RemoteCtx(ctx, params, pushed)
-		} else {
-			resp, err = svc.Remote(params, pushed)
+		if resp, err = svc.Remote(ctx, params, pushed); err != nil {
+			return Response{}, err
 		}
+	} else {
+		full, err := svc.Handler(params)
 		if err != nil {
 			return Response{}, fmt.Errorf("service %s: %w", name, err)
 		}
-		r.mu.Lock()
-		r.stats.Invocations++
-		r.stats.Bytes += int64(resp.Bytes)
-		if resp.Pushed {
-			r.stats.PushedInvocations++
+		resp = Response{Forest: full, Latency: svc.Latency}
+		if pushed != nil && svc.CanPush {
+			resp.Forest = []*tree.Node{EvalPushed(full, pushed)}
+			resp.Pushed = true
 		}
-		r.mu.Unlock()
-		return resp, nil
-	}
-	full, err := svc.Handler(params)
-	if err != nil {
-		return Response{}, fmt.Errorf("service %s: %w", name, err)
-	}
-	resp := Response{Forest: full, Latency: svc.Latency}
-	if pushed != nil && svc.CanPush {
-		resp.Forest = []*tree.Node{evalPushed(full, pushed)}
-		resp.Pushed = true
-	}
-	for _, n := range resp.Forest {
-		b, err := tree.Marshal(n)
-		if err != nil {
-			return Response{}, fmt.Errorf("service %s: marshal result: %w", name, err)
+		for _, n := range resp.Forest {
+			b, err := tree.Marshal(n)
+			if err != nil {
+				return Response{}, fmt.Errorf("service %s: marshal result: %w", name, err)
+			}
+			resp.Bytes += len(b)
 		}
-		resp.Bytes += len(b)
 	}
 	r.mu.Lock()
 	r.stats.Invocations++
@@ -284,9 +276,31 @@ func (r *Registry) InvokeContext(ctx context.Context, name string, params []*tre
 	return resp, nil
 }
 
-// evalPushed runs the pushed subquery over the full result forest and
-// packs the variable bindings into a Tuples node.
-func evalPushed(full []*tree.Node, pushed *pattern.Pattern) *tree.Node {
+// Wrap returns a registry holding one wrapper per service of r: the
+// single way a layer (response cache, fault injector, profiler, session
+// limit, recursive push) proxies a registry. For each service, layer
+// receives svc, a fresh copy of the inner service's name, latency and
+// push capability that becomes the wrapper's descriptor (a layer may
+// adjust it, e.g. raise CanPush), and next, which invokes the inner
+// service through r, so r keeps its own Stats. The Invoker layer
+// returns becomes the wrapper's Remote hook.
+func (r *Registry) Wrap(layer func(svc *Service, next Invoker) Invoker) *Registry {
+	out := NewRegistry()
+	for _, name := range r.Names() {
+		inner := r.Lookup(name)
+		svc := &Service{Name: name, Latency: inner.Latency, CanPush: inner.CanPush}
+		svc.Remote = layer(svc, func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
+			return r.InvokeContext(ctx, name, params, pushed)
+		})
+		out.Register(svc)
+	}
+	return out
+}
+
+// EvalPushed runs the pushed subquery over a full result forest and
+// packs the variable bindings into one Tuples node tagged with
+// pushed.String() — what a push-capable service returns (Section 7).
+func EvalPushed(full []*tree.Node, pushed *pattern.Pattern) *tree.Node {
 	results, _ := pattern.EvalForest(full, pushed)
 	bindings := make([]tree.Binding, 0, len(results))
 	for _, res := range results {

@@ -11,12 +11,14 @@ import (
 	"testing"
 	"time"
 
+	"github.com/activexml/axml/internal/core"
+	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/tree"
 )
 
 // flakyServer exposes one service whose handler fails the first n
-// invocations with the given error, then answers normally.
+// invocations with the given error, then answers one item named "ok".
 func flakyServer(t *testing.T, n int, failWith error) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var calls atomic.Int64
@@ -27,7 +29,9 @@ func flakyServer(t *testing.T, n int, failWith error) (*httptest.Server, *atomic
 			if calls.Add(1) <= int64(n) {
 				return nil, failWith
 			}
-			return []*tree.Node{tree.NewText("ok")}, nil
+			item := tree.NewElement("item")
+			item.Append(tree.NewElement("name")).Append(tree.NewText("ok"))
+			return []*tree.Node{item}, nil
 		},
 	})
 	srv := httptest.NewServer(NewServer(reg, false))
@@ -35,32 +39,49 @@ func flakyServer(t *testing.T, n int, failWith error) (*httptest.Server, *atomic
 	return srv, &calls
 }
 
-// TestClientRetriesTransientFaults checks the client-side retry loop:
-// two transient failures followed by a success must be absorbed inside
-// one Invoke call when MaxAttempts allows it.
-func TestClientRetriesTransientFaults(t *testing.T) {
-	transient := &service.Fault{Service: "flaky", Class: service.Transient, Msg: "blip"}
-	srv, calls := flakyServer(t, 2, transient)
-	c := &Client{BaseURL: srv.URL, MaxAttempts: 4, Backoff: time.Millisecond}
-	resp, err := c.Invoke("flaky", nil, nil)
+// evalFlaky evaluates a one-call document whose call reaches the flaky
+// service over HTTP, under the given engine retry policy.
+func evalFlaky(t *testing.T, srv *httptest.Server, retry core.RetryPolicy) (*core.Outcome, error) {
+	t.Helper()
+	reg, err := (&Client{BaseURL: srv.URL}).RegistryFor()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Forest) != 1 || resp.Forest[0].Label != "ok" {
-		t.Fatalf("resp = %+v", resp)
+	root := tree.NewElement("shop")
+	root.Append(tree.NewElement("items")).Append(tree.NewCall("flaky"))
+	q := pattern.MustParse(`/shop/items/item[name=$X] -> $X`)
+	return core.Evaluate(tree.NewDocument(root), q, reg, core.Options{
+		Strategy: core.LazyNFQ, Retry: retry, Clock: &service.SimClock{},
+	})
+}
+
+// TestClientRetriesTransientFaults: the engine's retry policy is the one
+// retry loop; two transient wire faults followed by a success are
+// absorbed inside one evaluation, one HTTP request per attempt.
+func TestClientRetriesTransientFaults(t *testing.T) {
+	transient := &service.Fault{Service: "flaky", Class: service.Transient, Msg: "blip"}
+	srv, calls := flakyServer(t, 2, transient)
+	out, err := evalFlaky(t, srv, core.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 1 || out.Results[0].Values["X"] != "ok" {
+		t.Fatalf("results = %+v", out.Results)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d attempts, want 3", got)
 	}
+	if out.Stats.Retries != 2 {
+		t.Fatalf("retries = %d, want 2", out.Stats.Retries)
+	}
 }
 
 // TestClientDoesNotRetryPermanentFaults: a permanent fault (the default
-// class for plain errors) must be surfaced after a single attempt even
-// when retries are configured.
+// class for plain errors) must fail the evaluation after a single
+// attempt even when retries are configured.
 func TestClientDoesNotRetryPermanentFaults(t *testing.T) {
 	srv, calls := flakyServer(t, 100, fmt.Errorf("schema violation"))
-	c := &Client{BaseURL: srv.URL, MaxAttempts: 5, Backoff: time.Millisecond}
-	_, err := c.Invoke("flaky", nil, nil)
+	_, err := evalFlaky(t, srv, core.RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "schema violation") {
 		t.Fatalf("err = %v", err)
 	}
@@ -161,27 +182,36 @@ func TestClientTimeout(t *testing.T) {
 	}
 }
 
-// TestInvokeContextCancellation: cancelling the caller's context stops
-// both the in-flight request and any pending retries.
+// TestInvokeContextCancellation: cancelling the caller's context aborts
+// the in-flight request to a slow provider.
 func TestInvokeContextCancellation(t *testing.T) {
-	transient := &service.Fault{Service: "flaky", Class: service.Transient, Msg: "blip"}
-	srv, calls := flakyServer(t, 100, transient)
-	c := &Client{BaseURL: srv.URL, MaxAttempts: 50, Backoff: 10 * time.Millisecond}
+	mux := http.NewServeMux()
+	release := make(chan struct{})
+	mux.HandleFunc("/services/slow", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	defer close(release) // LIFO: unblock the handler before Close waits on it
+	c := &Client{BaseURL: srv.URL}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(25 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err := c.InvokeContext(ctx, "flaky", nil, nil)
+	_, err := c.InvokeContext(ctx, "slow", nil, nil)
 	if err == nil {
 		t.Fatal("cancelled invoke succeeded")
 	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("cancellation did not cut the retry loop")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a cancellation", err)
 	}
-	if got := calls.Load(); got >= 50 {
-		t.Fatalf("retries ran to exhaustion (%d attempts) despite cancellation", got)
+	if time.Since(start) > 2*time.Second {
+		t.Fatal("cancellation did not cut the in-flight request")
 	}
 }
 

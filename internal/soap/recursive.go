@@ -27,64 +27,41 @@ import (
 // materialisation, mirroring the engine's own termination budget.
 //
 // The returned registry contains a wrapper for every service of reg;
-// wrapped services advertise CanPush. Materialisation resolves embedded
-// calls sequentially; RecursivePushWorkers bounds a concurrent pool.
-func RecursivePush(reg *service.Registry, maxCalls int) *service.Registry {
-	return RecursivePushWorkers(reg, maxCalls, 1)
-}
-
-// RecursivePushWorkers is RecursivePush with the provider-side
-// materialisation fixpoint invoking up to workers embedded calls of each
-// round concurrently (values below 2 mean sequential). Responses are
-// spliced in document order after each round, so the materialised forest
-// — and therefore the binding tuples returned to the peer — is identical
-// for every pool width; handlers are required to be concurrent-safe
-// (see service.Handler).
-func RecursivePushWorkers(reg *service.Registry, maxCalls, workers int) *service.Registry {
-	out := service.NewRegistry()
-	for _, name := range reg.Names() {
-		svc := reg.Lookup(name)
-		wrapped := &service.Service{
-			Name:    svc.Name,
-			Latency: svc.Latency,
-			CanPush: true,
-		}
-		wrapped.RemoteCtx = func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
-			resp, err := reg.InvokeContext(ctx, svc.Name, params, nil)
-			if err != nil {
-				return service.Response{}, err
+// wrapped services advertise CanPush. The materialisation fixpoint
+// invokes up to workers embedded calls of each round concurrently
+// (values below 2 mean sequential). Responses are spliced in document
+// order after each round, so the materialised forest — and therefore
+// the binding tuples returned to the peer — is identical for every pool
+// width; handlers are required to be concurrent-safe (see
+// service.Handler).
+func RecursivePush(reg *service.Registry, maxCalls, workers int) *service.Registry {
+	return reg.Wrap(func(svc *service.Service, next service.Invoker) service.Invoker {
+		svc.CanPush = true
+		name, latency := svc.Name, svc.Latency
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+			resp, err := next(ctx, params, nil)
+			if err != nil || pushed == nil {
+				return resp, err
 			}
-			if pushed == nil {
-				return resp, nil
-			}
+			// Failures past the inner call start in this peer's own
+			// materialisation, so they name the service here.
 			forest, err := materialise(ctx, reg, resp.Forest, maxCalls, workers)
 			if err != nil {
-				return service.Response{}, err
+				return service.Response{}, fmt.Errorf("service %s: %w", name, err)
 			}
-			results, _ := pattern.EvalForest(forest, pushed)
-			bindings := make([]tree.Binding, 0, len(results))
-			for _, r := range results {
-				b := tree.Binding{}
-				for k, v := range r.Values {
-					b[k] = v
-				}
-				bindings = append(bindings, b)
-			}
-			tu := tree.NewTuples(pushed.String(), bindings)
+			tu := service.EvalPushed(forest, pushed)
 			data, err := tree.Marshal(tu)
 			if err != nil {
-				return service.Response{}, err
+				return service.Response{}, fmt.Errorf("service %s: %w", name, err)
 			}
 			return service.Response{
 				Forest:  []*tree.Node{tu},
 				Bytes:   len(data),
-				Latency: svc.Latency,
+				Latency: latency,
 				Pushed:  true,
 			}, nil
 		}
-		out.Register(wrapped)
-	}
-	return out
+	})
 }
 
 // materialise resolves every call embedded in the forest, recursively, by

@@ -17,7 +17,7 @@ func TestRecursivePushMaterialisesNestedCalls(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.IntensionalRatingEvery = 2 // plenty of nested calls
 	w := workload.Hotels(spec)
-	peer := RecursivePush(w.Registry, 10000)
+	peer := RecursivePush(w.Registry, 10000, 1)
 
 	pushed := pattern.MustParse(
 		`/hotel[name="Best Western"][rating="*****"]/nearby//restaurant[rating="*****"][name=$X] -> $X`)
@@ -37,7 +37,7 @@ func TestRecursivePushMaterialisesNestedCalls(t *testing.T) {
 
 func TestRecursivePushWithoutQueryPassesThrough(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
-	peer := RecursivePush(w.Registry, 10000)
+	peer := RecursivePush(w.Registry, 10000, 1)
 	resp, err := peer.Invoke("getHotels", nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestRecursivePushWithoutQueryPassesThrough(t *testing.T) {
 
 func TestRecursivePushBudget(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
-	peer := RecursivePush(w.Registry, 2)
+	peer := RecursivePush(w.Registry, 2, 1)
 	pushed := pattern.MustParse(`/hotel[name=$X] -> $X`)
 	if _, err := peer.Invoke("getHotels", nil, pushed); err == nil {
 		t.Fatal("tiny budget must fail the materialisation")
@@ -76,7 +76,7 @@ func TestRecursivePushEndToEnd(t *testing.T) {
 	spec.Hotels = 12
 	spec.HiddenHotels = 4
 	w := workload.Hotels(spec)
-	peer := RecursivePush(w.Registry, 100000)
+	peer := RecursivePush(w.Registry, 100000, 1)
 	srv := httptest.NewServer(NewServer(peer, false))
 	defer srv.Close()
 	client := &Client{BaseURL: srv.URL}

@@ -506,17 +506,8 @@ type Client struct {
 	// Timeout bounds each HTTP request; an expired request surfaces as
 	// a timeout-classed fault. 0 means no client-side timeout.
 	Timeout time.Duration
-	// MaxAttempts retries transient and timeout faults (network errors,
-	// 5xx answers, expired requests) with exponential backoff before
-	// giving up; values below 2 mean a single attempt. Permanent faults
-	// (4xx, bad envelopes) never retry.
-	MaxAttempts int
-	// Backoff is the real-time pause before the second attempt,
-	// doubling per further attempt; 0 means DefaultBackoff.
-	Backoff time.Duration
-	// Metrics, when set, observes per-attempt wire latency
-	// (axml_http_client_seconds) and counts retried attempts
-	// (axml_http_client_retries_total). Nil disables.
+	// Metrics, when set, observes per-request wire latency
+	// (axml_http_client_seconds). Nil disables.
 	Metrics *telemetry.Registry
 	// MaxPayloadBytes bounds one response body; 0 means
 	// DefaultMaxPayloadBytes (symmetric with the server's request
@@ -524,9 +515,6 @@ type Client struct {
 	// "payload too large" fault instead of a truncated-XML parse error.
 	MaxPayloadBytes int64
 }
-
-// DefaultBackoff is the client's initial retry pause when Backoff is 0.
-const DefaultBackoff = 50 * time.Millisecond
 
 // sharedHTTPClient is the transport clients fall back to when
 // HTTPClient is unset. http.DefaultClient's transport keeps only 2 idle
@@ -564,10 +552,11 @@ func (c *Client) Invoke(name string, params []*tree.Node, pushed *pattern.Patter
 }
 
 // InvokeContext is Invoke under a caller context: cancellation aborts the
-// in-flight request and any remaining retries. Transient and timeout
-// faults are retried per the client's retry configuration; the error
-// returned after the last attempt carries a service.Fault so engine-side
-// retry policies (and callers) can classify it.
+// in-flight request. The client makes one attempt and maps every failure
+// onto a classed service.Fault — network errors are transient, expired
+// requests are timeouts, non-2xx answers carry the server's class (or
+// one derived from the status code) — so the engine's retry policy
+// (core.RetryPolicy, the one retry loop) can classify it.
 func (c *Client) InvokeContext(ctx context.Context, name string, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
 	tc, _ := telemetry.TraceFrom(ctx)
 	body, err := EncodeInvokeTrace(name, params, pushed, tc)
@@ -575,36 +564,6 @@ func (c *Client) InvokeContext(ctx context.Context, name string, params []*tree.
 		return service.Response{}, err
 	}
 	url := strings.TrimSuffix(c.BaseURL, "/") + "/services/" + name
-	attempts := c.MaxAttempts
-	if attempts < 2 {
-		attempts = 1
-	}
-	backoff := c.Backoff
-	if backoff <= 0 {
-		backoff = DefaultBackoff
-	}
-	for attempt := 1; ; attempt++ {
-		resp, err := c.post(ctx, url, name, body, tc)
-		if err == nil {
-			return resp, nil
-		}
-		if attempt >= attempts || !service.Retryable(err) {
-			return service.Response{}, err
-		}
-		c.Metrics.Counter(telemetry.MetricHTTPClientRetries).Inc()
-		select {
-		case <-ctx.Done():
-			return service.Response{}, err
-		case <-time.After(backoff << uint(attempt-1)):
-		}
-	}
-}
-
-// post performs one HTTP attempt and maps every failure onto a classed
-// service.Fault: network errors are transient, expired requests are
-// timeouts, non-2xx answers carry the server's class (or one derived
-// from the status code).
-func (c *Client) post(ctx context.Context, url, name string, body []byte, tc telemetry.TraceContext) (service.Response, error) {
 	start := time.Now()
 	defer func() {
 		c.Metrics.Histogram(telemetry.MetricHTTPClientSeconds).Observe(time.Since(start))
@@ -857,17 +816,24 @@ type ServiceInfo struct {
 
 // Proxy returns a service.Service backed by the remote provider, ready to
 // be registered in a local registry: the engine then invokes the remote
-// service transparently, with pushing decided by the provider.
+// service transparently, with pushing decided by the provider. A pushed
+// query for a service the provider describes as push-incapable is
+// dropped before it travels. The transport is where a remote error
+// starts, so the proxy prefixes it with the service name, once.
 func (c *Client) Proxy(info ServiceInfo) *service.Service {
 	return &service.Service{
 		Name:    info.Name,
 		Latency: info.Latency,
 		CanPush: info.CanPush,
-		RemoteCtx: func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+		Remote: func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
 			if !info.CanPush {
 				pushed = nil
 			}
-			return c.InvokeContext(ctx, info.Name, params, pushed)
+			resp, err := c.InvokeContext(ctx, info.Name, params, pushed)
+			if err != nil {
+				return service.Response{}, fmt.Errorf("service %s: %w", info.Name, err)
+			}
+			return resp, nil
 		},
 	}
 }

@@ -155,7 +155,7 @@ func TestRecursivePushSpansNested(t *testing.T) {
 	spec.HiddenHotels = 2
 	spec.PushCapable = true
 	w := workload.Hotels(spec)
-	remoteReg, _ := tracedServer(t, RecursivePush(w.Registry, 100_000))
+	remoteReg, _ := tracedServer(t, RecursivePush(w.Registry, 100_000, 1))
 
 	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
 	tracer.SetTrace(telemetry.DeriveTraceID("recursive"))

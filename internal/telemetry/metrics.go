@@ -83,7 +83,6 @@ const (
 	MetricHTTPFaults         = "axml_http_faults_total"
 	MetricHTTPHandlerSeconds = "axml_http_handler_seconds"
 	MetricHTTPClientSeconds  = "axml_http_client_seconds"
-	MetricHTTPClientRetries  = "axml_http_client_retries_total"
 
 	// Cost-based invocation planner (internal/plan). Batches counts
 	// batches planned; Reorders counts batches whose execution schedule
